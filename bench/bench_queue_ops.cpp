@@ -24,7 +24,7 @@ void run_queue_mix(benchmark::State& state, QueueKind kind) {
   const auto occupancy = static_cast<std::size_t>(state.range(0));
   PacketPool pool;
   Rng rng(42);
-  auto q = make_queue(kind);
+  PacketQueue q(kind);
   std::int64_t clock = 0;
   auto fresh = [&] {
     PacketPtr p = pool.make();
@@ -56,19 +56,17 @@ BENCHMARK(BM_Heap)->Arg(4)->Arg(64)->Arg(1024);
 BENCHMARK(BM_Takeover)->Arg(4)->Arg(64)->Arg(1024);
 
 void BM_EdfArbiterPick(benchmark::State& state) {
+  // The switch's EDF input arbitration (edf_pick, what Switch::try_fill
+  // runs) over a full candidate row with every input eligible.
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(7);
-  std::vector<Packet> pkts(n);
-  std::vector<ArbCandidate> cands;
-  for (std::size_t i = 0; i < n; ++i) {
-    pkts[i].local_deadline =
-        TimePoint::from_ps(static_cast<std::int64_t>(rng.uniform_int(0, 1 << 20)));
-    cands.push_back(ArbCandidate{i, &pkts[i]});
+  std::vector<std::int64_t> row(n);
+  for (auto& d : row) {
+    d = static_cast<std::int64_t>(rng.uniform_int(0, 1 << 20));
   }
-  EdfInputArbiter arb;
+  const auto eligible = [](std::size_t) { return true; };
   for (auto _ : state) {
-    auto w = arb.pick(cands);
-    benchmark::DoNotOptimize(w);
+    benchmark::DoNotOptimize(edf_pick(row.data(), row.size(), eligible));
   }
 }
 BENCHMARK(BM_EdfArbiterPick)->Arg(4)->Arg(16)->Arg(64);

@@ -142,6 +142,16 @@ if [[ $run_perf_smoke -eq 1 ]]; then
       > /dev/null
   echo "scenario smoke OK (Release)"
 
+  # The bench preset builds with IPO, which hides some GCC -O2/-O3
+  # diagnostics (e.g. -Werror=restrict inside inlined std::string
+  # concatenation). A plain -DCMAKE_BUILD_TYPE=Release build of the CLI
+  # tools keeps that configuration warning-clean under -Werror too.
+  echo "=== [bench] plain Release build of the CLI tools (-Werror) ==="
+  cmake -S . -B build-release -DCMAKE_BUILD_TYPE=Release
+  cmake --build build-release --target dqos_sim_tool dqos_topo_tool \
+      -j "$(nproc)"
+  echo "plain Release tools build OK"
+
   smoke_json=build-bench/bench_kernel_smoke.json
   build-bench/bench/bench_kernel --quick --json="$smoke_json"
   python3 -m json.tool "$smoke_json" > /dev/null

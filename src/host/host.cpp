@@ -69,57 +69,6 @@ void Host::open_flow(const FlowSpec& spec) {
   if (!stampers_.contains(skey)) stampers_.insert(skey, DeadlineStamper(spec));
 }
 
-void Host::push_entry(MinHeap& h, TimePoint key, PacketPtr p) {
-  QEntry e{key, next_qseq_++, std::move(p)};
-  std::size_t i = h.size();
-  h.emplace_back();
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (!(h[parent] > e)) break;
-    h[i] = std::move(h[parent]);
-    i = parent;
-  }
-  h[i] = std::move(e);
-}
-
-PacketPtr Host::pop_entry(MinHeap& h) {
-  DQOS_EXPECTS(!h.empty());
-  PacketPtr p = std::move(h.front().pkt);
-  if (h.size() > 1) {
-    h.front() = std::move(h.back());
-    h.pop_back();
-    heap_sift_down(h, 0);
-  } else {
-    h.pop_back();
-  }
-  return p;
-}
-
-void Host::heap_sift_down(MinHeap& h, std::size_t i) {
-  const std::size_t n = h.size();
-  QEntry e = std::move(h[i]);
-  for (;;) {
-    const std::size_t first = i * 4 + 1;
-    if (first >= n) break;
-    std::size_t m = first;
-    const std::size_t last = std::min(first + 4, n);
-    for (std::size_t c = first + 1; c < last; ++c) {
-      if (h[m] > h[c]) m = c;
-    }
-    if (!(e > h[m])) break;
-    h[i] = std::move(h[m]);
-    i = m;
-  }
-  h[i] = std::move(e);
-}
-
-void Host::heap_make(MinHeap& h) {
-  if (h.size() < 2) return;
-  for (std::size_t i = (h.size() - 2) / 4 + 1; i-- > 0;) {
-    heap_sift_down(h, i);
-  }
-}
-
 bool Host::submit(FlowId flow, std::uint64_t bytes) {
   return do_submit(flow, bytes, 0);
 }
@@ -233,9 +182,9 @@ void Host::update_flow_route(FlowId flow, const SourceRoute& route,
     p.hdr.route = route;
     p.hdr.route.reset_cursor();
   };
-  for (auto& e : eligible_q_) restamp(*e.pkt);
-  for (auto& q : ready_q_) {
-    for (auto& e : q) restamp(*e.pkt);
+  for (const auto& e : eligible_q_) restamp(*e.pkt);
+  for (const auto& q : ready_q_) {
+    for (const auto& e : q) restamp(*e.pkt);
   }
   for (auto& q : fifo_q_) {
     for (auto& p : q) restamp(*p);
@@ -260,17 +209,8 @@ void Host::close_flow(FlowId flow) {
     retire_packet(std::move(p));
     return true;
   };
-  const auto purge_heap = [&](MinHeap& h) {
-    bool purged = false;
-    for (auto& e : h) purged = doom(e.pkt) || purged;
-    if (!purged) return;
-    h.erase(std::remove_if(h.begin(), h.end(),
-                           [](const QEntry& e) { return e.pkt == nullptr; }),
-            h.end());
-    heap_make(h);
-  };
-  purge_heap(eligible_q_);
-  for (auto& q : ready_q_) purge_heap(q);
+  eligible_q_.remove_if(doom);
+  for (auto& q : ready_q_) q.remove_if(doom);
   for (auto& q : fifo_q_) {
     bool purged = false;
     for (auto& p : q) purged = doom(p) || purged;
@@ -360,8 +300,8 @@ void Host::pump() {
 
   // Eligibility transition: first queue (eligible-ordered) feeds the second
   // (deadline-ordered), §3.2.
-  while (!eligible_q_.empty() && eligible_q_.front().key <= local_now) {
-    PacketPtr p = pop_entry(eligible_q_);
+  while (!eligible_q_.empty() && eligible_q_.top().key <= local_now) {
+    PacketPtr p = eligible_q_.pop();
     const VcId vc = p->hdr.vc;
     const TimePoint d = p->local_deadline;
     push_entry(ready_q_[vc], d, std::move(p));
@@ -425,13 +365,13 @@ bool Host::inject_from_vc(VcId vc, TimePoint now) {
   if (params_.expiry_drop && params_.edf_queues && vc == kRegulatedVc) {
     const TimePoint local_now = clock_.local_now(now);
     while (!ready_q_[vc].empty() &&
-           ready_q_[vc].front().pkt->local_deadline < local_now) {
-      expire_packet(pop_entry(ready_q_[vc]), now);
+           ready_q_[vc].top().pkt->local_deadline < local_now) {
+      expire_packet(ready_q_[vc].pop(), now);
     }
   }
   const Packet* head = nullptr;
   if (params_.edf_queues) {
-    if (!ready_q_[vc].empty()) head = ready_q_[vc].front().pkt.get();
+    if (!ready_q_[vc].empty()) head = ready_q_[vc].top().pkt.get();
   } else {
     if (!fifo_q_[vc].empty()) head = fifo_q_[vc].front().get();
   }
@@ -440,7 +380,7 @@ bool Host::inject_from_vc(VcId vc, TimePoint now) {
 
   PacketPtr p;
   if (params_.edf_queues) {
-    p = pop_entry(ready_q_[vc]);
+    p = ready_q_[vc].pop();
   } else {
     p = std::move(fifo_q_[vc].front());
     fifo_q_[vc].pop_front();
@@ -471,7 +411,7 @@ bool Host::inject_from_vc(VcId vc, TimePoint now) {
 void Host::schedule_eligible_wakeup() {
   if (eligible_q_.empty()) return;
   // Convert the earliest eligibility instant back to the global domain.
-  const TimePoint global_wake = eligible_q_.front().key - clock_.offset();
+  const TimePoint global_wake = eligible_q_.top().key - clock_.offset();
   if (eligible_wakeup_at_ == global_wake) return;  // already armed
   if (eligible_wakeup_ != 0) sim_.cancel(eligible_wakeup_);
   const TimePoint at = max(global_wake, sim_.now());

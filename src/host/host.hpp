@@ -32,6 +32,7 @@
 
 #include "host/deadline.hpp"
 #include "util/dense_flow_table.hpp"
+#include "proto/packet_heap.hpp"
 #include "proto/packet_pool.hpp"
 #include "qos/flow.hpp"
 #include "qos/token_bucket.hpp"
@@ -219,30 +220,11 @@ class Host final : public PacketReceiver {
     std::uint64_t expired_packets = 0;  ///< reached injection already late
     std::uint64_t expired_bytes = 0;
   };
-  /// Min-heap entry for both NIC queues (key = eligible time or deadline).
-  struct QEntry {
-    TimePoint key;
-    std::uint64_t seq;
-    PacketPtr pkt;
-    bool operator>(const QEntry& o) const {
-      if (key != o.key) return key > o.key;
-      return seq > o.seq;
-    }
-  };
-  /// 4-ary min-heap in a flat vector (root at 0, children of i at 4i+1..).
-  /// Half the levels of the binary std::*_heap layout, so the hot pop's
-  /// sift-down touches fewer cache lines at NIC backlog depths. Extraction
-  /// order is identical to any min-heap: (key, seq) is a strict total
-  /// order, so the pop sequence — and the golden fire order — cannot
-  /// depend on the layout.
-  using MinHeap = std::vector<QEntry>;
-
-  void push_entry(MinHeap& h, TimePoint key, PacketPtr p);
-  PacketPtr pop_entry(MinHeap& h);
-  /// Sift h[i] down to its 4-ary position (pop and Floyd-heapify core).
-  static void heap_sift_down(MinHeap& h, std::size_t i);
-  /// Re-establishes the 4-ary heap property after bulk edits (purges).
-  static void heap_make(MinHeap& h);
+  /// Queues `p` on `h` under `key` (eligible time or deadline), with the
+  /// host-wide arrival counter breaking key ties.
+  void push_entry(PacketHeap& h, TimePoint key, PacketPtr p) {
+    h.push(key, next_qseq_++, std::move(p));
+  }
 
   /// Moves newly eligible packets, then tries to start one injection.
   void pump();
@@ -274,8 +256,8 @@ class Host final : public PacketReceiver {
   /// memory and scatter the hot do_submit lookup across the heap.
   DenseFlowTable<FlowState> flows_;
   DenseFlowTable<DeadlineStamper> stampers_;  ///< keyed by stamper_key
-  MinHeap eligible_q_;                 ///< regulated, waiting for eligibility
-  std::vector<MinHeap> ready_q_;       ///< per VC, deadline-ordered (EDF mode)
+  PacketHeap eligible_q_;              ///< regulated, waiting for eligibility
+  std::vector<PacketHeap> ready_q_;    ///< per VC, deadline-ordered (EDF mode)
   std::vector<std::deque<PacketPtr>> fifo_q_;  ///< per VC (FIFO mode)
   /// Non-null only under weighted arbitration. Null means strict VC
   /// priority (the paper architectures), which pump() runs as a plain

@@ -1,51 +1,10 @@
 #include "switchfab/arbiter.hpp"
 
-#include <numeric>
+#include <utility>
 
 #include "util/contracts.hpp"
 
 namespace dqos {
-
-std::optional<std::size_t> EdfInputArbiter::pick(std::span<const ArbCandidate> cands) {
-  if (cands.empty()) return std::nullopt;
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < cands.size(); ++i) {
-    const bool earlier =
-        cands[i].pkt->local_deadline < cands[best].pkt->local_deadline ||
-        (cands[i].pkt->local_deadline == cands[best].pkt->local_deadline &&
-         cands[i].input < cands[best].input);
-    if (earlier) best = i;
-  }
-  return best;
-}
-
-std::optional<std::size_t> RoundRobinInputArbiter::pick(
-    std::span<const ArbCandidate> cands) {
-  if (cands.empty()) return std::nullopt;
-  // Candidates come sorted by input index (the switch scans inputs in
-  // order); pick the first with input > last_, wrapping.
-  for (std::size_t i = 0; i < cands.size(); ++i) {
-    if (cands[i].input > last_ && cands[i].input < num_inputs_) return i;
-  }
-  return 0;  // wrap around
-}
-
-std::unique_ptr<InputArbiter> make_input_arbiter(InputArbiterKind kind,
-                                                 std::size_t num_inputs) {
-  switch (kind) {
-    case InputArbiterKind::kEdf: return std::make_unique<EdfInputArbiter>();
-    case InputArbiterKind::kRoundRobin:
-      return std::make_unique<RoundRobinInputArbiter>(num_inputs);
-  }
-  DQOS_ASSERT(false);
-  return nullptr;
-}
-
-StrictPriorityVcPolicy::StrictPriorityVcPolicy(std::uint8_t num_vcs) {
-  DQOS_EXPECTS(num_vcs >= 1);
-  order_.resize(num_vcs);
-  std::iota(order_.begin(), order_.end(), VcId{0});
-}
 
 WeightedVcPolicy::WeightedVcPolicy(std::vector<std::uint32_t> weights,
                                    std::uint32_t quantum_bytes)
@@ -59,7 +18,7 @@ WeightedVcPolicy::WeightedVcPolicy(std::vector<std::uint32_t> weights,
   }
 }
 
-void WeightedVcPolicy::order(std::vector<VcId>& out) {
+void WeightedVcPolicy::order(std::vector<VcId>& out) const {
   // Current VC first while it retains deficit, then the others in ring
   // order. The switch skips unservable VCs, keeping the policy
   // work-conserving.

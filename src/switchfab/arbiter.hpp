@@ -1,114 +1,86 @@
 /// \file arbiter.hpp
-/// Output-port arbitration policies.
+/// Output-port arbitration: the rules `Switch` (and, for VCs, `Host`) run.
 ///
 /// Two orthogonal decisions are made whenever an output link frees up:
-///   1. Which VC to serve — VcSelectionPolicy. The paper's architectures
-///      give the regulated VC *absolute* priority over best-effort (§3.2);
-///      the Traditional architecture may also be configured with a
-///      PCI AS / InfiniBand style weighted arbitration table over many VCs
-///      (ablation A5).
-///   2. Which input's VOQ head to grant within that VC — InputArbiter.
-///      EDF architectures compare the deadline tags of the candidate heads
-///      (the "sorting network" argument of §3.2: inputs present ascending-
-///      deadline streams, so heads suffice). The Traditional architecture
-///      is deadline-blind and uses round-robin.
+///   1. Which VC to serve. The paper's architectures give the regulated VC
+///      *absolute* priority over best-effort (§3.2) — a plain VC0-first
+///      loop in the callers. The Traditional architecture may instead be
+///      configured with a PCI AS / InfiniBand style weighted arbitration
+///      table over many VCs (ablation A5): WeightedVcPolicy.
+///   2. Which input's VOQ head to grant within that VC. EDF architectures
+///      compare the deadline tags of the candidate heads (the "sorting
+///      network" argument of §3.2: inputs present ascending-deadline
+///      streams, so heads suffice): edf_pick. The Traditional architecture
+///      is deadline-blind and uses round-robin: round_robin_pick.
+///
+/// Both input arbiters scan one *candidate row*: the cached head deadline
+/// of each input's VOQ for the contended (vc, out), kNoCandidate where the
+/// VOQ is empty (see Switch::voq_dl_). `eligible(in)` says whether input
+/// `in` may be granted right now (read port free, head fits the output
+/// buffer); it is never asked about an empty VOQ.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
-#include <optional>
-#include <span>
+#include <limits>
 #include <vector>
 
-#include "proto/packet.hpp"
 #include "proto/types.hpp"
+#include "util/simd.hpp"
 
 namespace dqos {
 
-/// One entrant in an arbitration round: the candidate head of an input's
-/// VOQ for the contended output.
-struct ArbCandidate {
-  std::size_t input = 0;
-  const Packet* pkt = nullptr;
-};
-
-// ---------------------------------------------------------------------------
-// Input selection within a VC
-// ---------------------------------------------------------------------------
-
-class InputArbiter {
- public:
-  virtual ~InputArbiter() = default;
-  /// Index into `cands` of the winner; nullopt iff `cands` is empty.
-  /// Must be deterministic.
-  [[nodiscard]] virtual std::optional<std::size_t> pick(
-      std::span<const ArbCandidate> cands) = 0;
-  /// Called when the picked packet was actually granted (round-robin
-  /// pointers advance only on grants, not on credit-blocked attempts).
-  virtual void granted(std::size_t input) = 0;
-};
-
-/// EDF: minimum deadline wins; ties resolved by lowest input index
-/// (deterministic; with picosecond deadlines ties are negligible).
-class EdfInputArbiter final : public InputArbiter {
- public:
-  [[nodiscard]] std::optional<std::size_t> pick(
-      std::span<const ArbCandidate> cands) override;
-  void granted(std::size_t /*input*/) override {}
-};
-
-/// Round-robin over input ports, starting after the last grant.
-class RoundRobinInputArbiter final : public InputArbiter {
- public:
-  explicit RoundRobinInputArbiter(std::size_t num_inputs) : num_inputs_(num_inputs) {}
-  [[nodiscard]] std::optional<std::size_t> pick(
-      std::span<const ArbCandidate> cands) override;
-  void granted(std::size_t input) override { last_ = input; }
-
- private:
-  std::size_t num_inputs_;
-  std::size_t last_ = ~std::size_t{0};  // first round starts at input 0
-};
-
+/// Which input arbiter an architecture runs (the cost model prices both).
 enum class InputArbiterKind : std::uint8_t { kEdf, kRoundRobin };
-std::unique_ptr<InputArbiter> make_input_arbiter(InputArbiterKind kind,
-                                                 std::size_t num_inputs);
 
-// ---------------------------------------------------------------------------
-// VC selection
-// ---------------------------------------------------------------------------
+/// Candidate-row sentinel: that input's VOQ is empty.
+inline constexpr std::int64_t kNoCandidate =
+    std::numeric_limits<std::int64_t>::max();
+/// Arbitration result when no input can be granted.
+inline constexpr std::size_t kNoWinner = ~std::size_t{0};
 
-class VcSelectionPolicy {
- public:
-  virtual ~VcSelectionPolicy() = default;
-  /// Fills `out` (cleared first) with VCs in the order they should be
-  /// offered the link for this decision. The switch takes the first VC that
-  /// yields a transmittable packet. Out-param so hot-path callers reuse one
-  /// scratch buffer per port instead of allocating per decision.
-  virtual void order(std::vector<VcId>& out) = 0;
-  /// Allocating convenience wrapper (tests, diagnostics).
-  [[nodiscard]] std::vector<VcId> order() {
-    std::vector<VcId> out;
-    order(out);
-    return out;
+/// EDF: the eligible input with the minimum deadline, ties to the lowest
+/// input; kNoWinner if none. Fast path: a pure horizontal argmin over the
+/// row, with no per-element eligibility tests. The row-wide minimum *is*
+/// the winner whenever it is itself eligible: argmin breaks ties toward
+/// the lowest index, exactly the guarded scan's rule, and any eligible
+/// input the scan would prefer would have to carry a smaller deadline than
+/// the row minimum. Only a blocked minimum falls back to the guarded scan.
+template <class Eligible>
+[[nodiscard]] inline std::size_t edf_pick(const std::int64_t* dl,
+                                          std::size_t n, Eligible eligible) {
+  const std::size_t cand = simd::argmin_i64(dl, n);
+  if (dl[cand] == kNoCandidate) return kNoWinner;  // row empty
+  if (eligible(cand)) return cand;
+  // Congested slow path: minimum deadline among *eligible* inputs; ties go
+  // to the lowest input (strict < over an ascending scan).
+  std::size_t win = kNoWinner;
+  std::int64_t best = kNoCandidate;
+  for (std::size_t in = 0; in < n; ++in) {
+    if (dl[in] < best && eligible(in)) {
+      best = dl[in];
+      win = in;
+    }
   }
-  virtual void granted(VcId vc, std::uint32_t bytes) = 0;
-};
+  return win;
+}
 
-/// Strict priority: VC0 always first. The paper's two-VC architectures.
-class StrictPriorityVcPolicy final : public VcSelectionPolicy {
- public:
-  explicit StrictPriorityVcPolicy(std::uint8_t num_vcs);
-  using VcSelectionPolicy::order;
-  void order(std::vector<VcId>& out) override {
-    out.assign(order_.begin(), order_.end());
+/// Round-robin: the first eligible input after `last` (the previous
+/// grant; kNoWinner before the first), wrapping; kNoWinner if none. The
+/// caller advances `last` only when the winner is actually granted.
+template <class Eligible>
+[[nodiscard]] inline std::size_t round_robin_pick(const std::int64_t* dl,
+                                                  std::size_t n,
+                                                  std::size_t last,
+                                                  Eligible eligible) {
+  std::size_t first = kNoWinner;
+  for (std::size_t in = 0; in < n; ++in) {
+    if (dl[in] == kNoCandidate || !eligible(in)) continue;
+    if (in > last) return in;
+    if (first == kNoWinner) first = in;
   }
-  void granted(VcId, std::uint32_t) override {}
-
- private:
-  std::vector<VcId> order_;
-};
+  return first;
+}
 
 /// Deficit-weighted round robin, modelling the IBA / PCI AS VC arbitration
 /// table. Each VC carries a weight; a VC keeps the grant as long as its
@@ -124,15 +96,18 @@ class StrictPriorityVcPolicy final : public VcSelectionPolicy {
 /// credit and then monopolize the link (the DRR "unbounded deficit
 /// growth" hazard); the regression test asserts exactly this bound after
 /// every grant.
-class WeightedVcPolicy final : public VcSelectionPolicy {
+class WeightedVcPolicy {
  public:
   /// `weights` — one per VC, relative shares (e.g. {1,1,1,1}).
   /// `quantum_bytes` — bytes of service per weight unit per round.
   explicit WeightedVcPolicy(std::vector<std::uint32_t> weights,
                             std::uint32_t quantum_bytes = 4096);
-  using VcSelectionPolicy::order;
-  void order(std::vector<VcId>& out) override;
-  void granted(VcId vc, std::uint32_t bytes) override;
+  /// Fills `out` (cleared first) with VCs in the order they should be
+  /// offered the link for this decision. The caller takes the first VC
+  /// that yields a transmittable packet. Out-param so hot-path callers
+  /// reuse one scratch buffer per port instead of allocating per decision.
+  void order(std::vector<VcId>& out) const;
+  void granted(VcId vc, std::uint32_t bytes);
 
   /// Current banked deficit of `vc` (diagnostics / tests). Bounded above
   /// by allocation(vc) + quantum at every quiescent point.

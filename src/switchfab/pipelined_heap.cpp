@@ -1,10 +1,14 @@
 #include "switchfab/pipelined_heap.hpp"
 
-#include <cmath>
+#include <algorithm>
 
 #include "util/contracts.hpp"
 
 namespace dqos {
+namespace {
+/// std::*_heap comparator that keeps the smallest key at the front.
+constexpr auto kMinHeap = [](std::int64_t a, std::int64_t b) { return a > b; };
+}  // namespace
 
 PipelinedHeapModel::PipelinedHeapModel(std::size_t capacity, Duration cycle)
     : capacity_(capacity), cycle_(cycle) {
@@ -29,7 +33,7 @@ PipelinedHeapModel::Timing PipelinedHeapModel::insert(std::int64_t key,
   DQOS_EXPECTS(keys_.size() < capacity_);
   // dqos-lint: allow(hot-path-transitive) — capacity reserved up front
   keys_.push_back(key);
-  sift_up(keys_.size() - 1);
+  std::push_heap(keys_.begin(), keys_.end(), kMinHeap);
   return issue(now);
 }
 
@@ -37,9 +41,8 @@ PipelinedHeapModel::Timing PipelinedHeapModel::extract_min(TimePoint now,
                                                            std::int64_t* key_out) {
   DQOS_EXPECTS(!keys_.empty());
   if (key_out) *key_out = keys_.front();
-  keys_.front() = keys_.back();
+  std::pop_heap(keys_.begin(), keys_.end(), kMinHeap);
   keys_.pop_back();
-  if (!keys_.empty()) sift_down(0);
   return issue(now);
 }
 
@@ -54,28 +57,6 @@ PipelinedHeapModel::Timing PipelinedHeapModel::extract_min(
 std::int64_t PipelinedHeapModel::min() const {
   DQOS_EXPECTS(!keys_.empty());
   return keys_.front();
-}
-
-void PipelinedHeapModel::sift_up(std::size_t i) {
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (keys_[parent] <= keys_[i]) break;
-    std::swap(keys_[parent], keys_[i]);
-    i = parent;
-  }
-}
-
-void PipelinedHeapModel::sift_down(std::size_t i) {
-  const std::size_t n = keys_.size();
-  for (;;) {
-    std::size_t smallest = i;
-    const std::size_t l = 2 * i + 1, r = 2 * i + 2;
-    if (l < n && keys_[l] < keys_[smallest]) smallest = l;
-    if (r < n && keys_[r] < keys_[smallest]) smallest = r;
-    if (smallest == i) return;
-    std::swap(keys_[i], keys_[smallest]);
-    i = smallest;
-  }
 }
 
 }  // namespace dqos

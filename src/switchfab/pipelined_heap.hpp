@@ -12,9 +12,9 @@
 ///
 ///   - issue(op, now) returns the completion time of the operation and
 ///     the earliest time the *next* operation may issue;
-///   - the logical heap contents are tracked with an ordinary binary heap
-///     (the hardware's functional behaviour), so results are identical to
-///     HeapQueue — only the timing differs.
+///   - the logical heap contents are tracked with std::push_heap /
+///     std::pop_heap (the hardware's functional behaviour), so results are
+///     identical to the Ideal heap buffer — only the timing differs.
 ///
 /// The Ideal switch architecture with `SwitchParams::heap_op_latency` is a
 /// first-order stand-in (a flat per-op latency); this model supplies the
@@ -63,15 +63,13 @@ class PipelinedHeapModel {
 
  private:
   Timing issue(TimePoint now);
-  void sift_up(std::size_t i);
-  void sift_down(std::size_t i);
 
   std::size_t capacity_;
   std::size_t levels_;
   Duration cycle_;
   TimePoint next_issue_;
   std::uint64_t ops_ = 0;
-  std::vector<std::int64_t> keys_;  // functional binary min-heap
+  std::vector<std::int64_t> keys_;  // functional min-heap (std::*_heap)
 };
 
 }  // namespace dqos

@@ -30,10 +30,11 @@ void PacketQueue::enqueue(PacketPtr p) {
       lq_.push_back(std::move(p));
       return;
     }
-    case QueueKind::kHeap:
-      heap_.push_back(HeapEntry{p->local_deadline, next_seq_++, std::move(p)});
-      sift_up(heap_.size() - 1);
+    case QueueKind::kHeap: {
+      const TimePoint deadline = p->local_deadline;  // before p moves away
+      heap_.push(deadline, next_seq_++, std::move(p));
       return;
+    }
     case QueueKind::kTakeover:
       if (lq_.empty()) {
         // Definition 1: both queues empty -> L. (L empty while U holds
@@ -71,12 +72,8 @@ PacketPtr PacketQueue::dequeue() {
     case QueueKind::kHeap: {
       DQOS_EXPECTS(!heap_.empty());
       // Head is the min: never an order error.
-      note_dequeue(*heap_.front().pkt, min_deadline());
-      PacketPtr p = std::move(heap_.front().pkt);
-      heap_.front() = std::move(heap_.back());
-      heap_.pop_back();
-      if (!heap_.empty()) sift_down(0);
-      return p;
+      note_dequeue(*heap_.top().pkt, min_deadline());
+      return heap_.pop();
     }
     case QueueKind::kTakeover: {
       DQOS_EXPECTS(!empty());
@@ -97,7 +94,7 @@ TimePoint PacketQueue::min_deadline() const {
       return mono_.empty() ? TimePoint::max()
                            : TimePoint::from_ps(mono_.front().deadline_ps);
     case QueueKind::kHeap:
-      return heap_.empty() ? TimePoint::max() : heap_.front().deadline;
+      return heap_.empty() ? TimePoint::max() : heap_.top().key;
     case QueueKind::kTakeover: {
       // L is deadline-sorted (Theorem 1) so its min is the head; U is not,
       // so scan it. U is small in practice (only take-over packets), and
@@ -127,29 +124,5 @@ void PacketQueue::reserve(std::size_t packets) {
       return;
   }
 }
-
-void PacketQueue::sift_up(std::size_t i) {
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!(heap_[parent] > heap_[i])) break;
-    std::swap(heap_[parent], heap_[i]);
-    i = parent;
-  }
-}
-
-void PacketQueue::sift_down(std::size_t i) {
-  const std::size_t n = heap_.size();
-  for (;;) {
-    std::size_t smallest = i;
-    const std::size_t l = 2 * i + 1, r = 2 * i + 2;
-    if (l < n && heap_[smallest] > heap_[l]) smallest = l;
-    if (r < n && heap_[smallest] > heap_[r]) smallest = r;
-    if (smallest == i) return;
-    std::swap(heap_[i], heap_[smallest]);
-    i = smallest;
-  }
-}
-
-PacketQueue make_queue(QueueKind kind) { return PacketQueue(kind); }
 
 }  // namespace dqos

@@ -20,8 +20,9 @@
 /// PacketQueue is a tagged union over the three schemes: the kind is fixed
 /// at construction (one per switch configuration), `enqueue` / `dequeue` /
 /// `candidate` dispatch on a two-bit tag through a perfectly-predicted
-/// branch instead of a vtable, and all storage is ring buffers / a flat
-/// vector — no per-packet node allocation anywhere. A switch holds
+/// branch instead of a vtable, and all storage is ring buffers / the
+/// flat-vector PacketHeap (proto/packet_heap.hpp, shared with the NIC) —
+/// no per-packet node allocation anywhere. A switch holds
 /// PacketQueues by value in contiguous arrays (see switch.hpp), which is
 /// what lets the arbitration hot path stay in cache.
 ///
@@ -41,8 +42,8 @@
 
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
+#include "proto/packet_heap.hpp"
 #include "proto/packet_pool.hpp"
 #include "switchfab/packet_ring.hpp"
 #include "util/time.hpp"
@@ -76,7 +77,7 @@ class PacketQueue {
       case QueueKind::kFifo:
         return lq_.empty() ? nullptr : lq_.front().get();
       case QueueKind::kHeap:
-        return heap_.empty() ? nullptr : heap_.front().pkt.get();
+        return heap_.empty() ? nullptr : heap_.top().pkt.get();
       case QueueKind::kTakeover:
         if (lq_.empty()) return nullptr;
         return pick_upper() ? uq_.front().get() : lq_.front().get();
@@ -111,15 +112,6 @@ class PacketQueue {
   [[nodiscard]] std::size_t takeover_packets() const { return uq_.size(); }
 
  private:
-  struct HeapEntry {
-    TimePoint deadline;
-    std::uint64_t seq;
-    PacketPtr pkt;
-    bool operator>(const HeapEntry& o) const {
-      if (deadline != o.deadline) return deadline > o.deadline;
-      return seq > o.seq;
-    }
-  };
   /// One candidate for "minimum of the FIFO window": deadline plus the
   /// arrival sequence it belongs to (so the tracker can tell when its
   /// minimum left the queue).
@@ -136,9 +128,6 @@ class PacketQueue {
            uq_.front()->local_deadline < lq_.front()->local_deadline;
   }
 
-  void sift_up(std::size_t i);
-  void sift_down(std::size_t i);
-
   void note_enqueue(const Packet& p) { bytes_ += p.size(); }
   /// `min_before_removal` is min_deadline() computed while `p` was still
   /// queued; a strictly larger deadline means another packet deserved to go.
@@ -150,7 +139,7 @@ class PacketQueue {
   QueueKind kind_;
   PacketRing lq_;  ///< fifo: the queue; takeover: L, the ordered queue
   PacketRing uq_;  ///< takeover only: U, the take-over queue
-  std::vector<HeapEntry> heap_;  ///< heap only: manual binary min-heap
+  PacketHeap heap_;              ///< heap only: keyed by deadline
   RingBuffer<MonoEntry> mono_;   ///< fifo only: sliding-window minimum
   std::uint64_t next_seq_ = 0;   ///< arrival counter (heap ties, fifo mono)
   std::uint64_t head_seq_ = 0;   ///< fifo: arrival seq of lq_'s front
@@ -158,22 +147,5 @@ class PacketQueue {
   std::uint64_t order_errors_ = 0;
   std::uint64_t takeovers_ = 0;
 };
-
-/// Convenience constructors retained from the virtual-hierarchy era; the
-/// paper-facing names still appear in tests, benches and docs.
-class FifoQueue final : public PacketQueue {
- public:
-  FifoQueue() : PacketQueue(QueueKind::kFifo) {}
-};
-class HeapQueue final : public PacketQueue {
- public:
-  HeapQueue() : PacketQueue(QueueKind::kHeap) {}
-};
-class TakeoverQueue final : public PacketQueue {
- public:
-  TakeoverQueue() : PacketQueue(QueueKind::kTakeover) {}
-};
-
-[[nodiscard]] PacketQueue make_queue(QueueKind kind);
 
 }  // namespace dqos

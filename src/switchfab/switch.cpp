@@ -4,7 +4,6 @@
 
 #include "util/contracts.hpp"
 #include "util/log.hpp"
-#include "util/simd.hpp"
 
 namespace dqos {
 
@@ -194,52 +193,16 @@ void Switch::try_fill(std::size_t out) {
                                            : 0;
     // One arbitration round = one linear scan of the candidate cache row
     // for this (vc, out): deadlines and sizes, no queue pointers touched.
+    // An empty row or no eligible input yields kNoWinner: next VC.
     const std::int64_t* dl = voq_dl_.data() + voq_index(vc, out, 0);
     const std::uint32_t* sz = voq_sz_.data() + voq_index(vc, out, 0);
-    std::size_t win = kNoWinner;
-    if (edf_arbiter_) {
-      // EDF fast path: a pure horizontal argmin over the contiguous row —
-      // no per-element eligibility tests. The row-wide minimum *is* the
-      // arbitration winner whenever it is itself eligible: argmin breaks
-      // ties toward the lowest index, exactly the guarded scan's rule, and
-      // any eligible input the scan would prefer would have to carry a
-      // smaller deadline than the row minimum. A minimum of kNoCandidate
-      // means the whole row is empty. Only a blocked minimum (read port
-      // busy / does not fit) falls back to the guarded scan.
-      const std::size_t cand = simd::argmin_i64(dl, num_ports);
-      if (dl[cand] == kNoCandidate) continue;  // row empty: next VC
-      if (inputs_[cand].read_busy_until <= now && sz[cand] <= space_left) {
-        win = cand;
-      } else {
-        // Congested slow path: minimum deadline among *eligible* inputs;
-        // ties go to the lowest input (strict < over an ascending scan).
-        std::int64_t best = kNoCandidate;
-        for (std::size_t in = 0; in < num_ports; ++in) {
-          if (dl[in] == kNoCandidate) continue;
-          if (inputs_[in].read_busy_until > now) continue;
-          if (sz[in] > space_left) continue;
-          if (dl[in] < best) {
-            best = dl[in];
-            win = in;
-          }
-        }
-      }
-    } else {
-      // Round-robin: first eligible input after the last grant, wrapping.
-      const std::size_t last = rr_last_[out * params_.num_vcs + vc];
-      std::size_t first = kNoWinner;
-      for (std::size_t in = 0; in < num_ports; ++in) {
-        if (dl[in] == kNoCandidate) continue;
-        if (inputs_[in].read_busy_until > now) continue;
-        if (sz[in] > space_left) continue;
-        if (first == kNoWinner) first = in;
-        if (in > last) {
-          win = in;
-          break;
-        }
-      }
-      if (win == kNoWinner) win = first;
-    }
+    const auto eligible = [&](std::size_t in) {
+      return inputs_[in].read_busy_until <= now && sz[in] <= space_left;
+    };
+    std::size_t& rr_last = rr_last_[out * params_.num_vcs + vc];
+    const std::size_t win =
+        edf_arbiter_ ? edf_pick(dl, num_ports, eligible)
+                     : round_robin_pick(dl, num_ports, rr_last, eligible);
     if (win == kNoWinner) continue;
 
     Input& i = inputs_[win];
@@ -248,7 +211,7 @@ void Switch::try_fill(std::size_t out) {
     --queued_packets_;  // in flight across the crossbar until xbar_arrive
     ++xbar_in_transit_;
     refresh_voq(win, vc, out);
-    if (!edf_arbiter_) rr_last_[out * params_.num_vcs + vc] = win;
+    if (!edf_arbiter_) rr_last = win;
 
     // Freed input-buffer space: return credits upstream.
     DQOS_ASSERT(i.channel != nullptr);

@@ -43,8 +43,9 @@
 ///     arbitration round is a linear scan of `num_ports` int64s — the
 ///     software analogue of the paper's "heads suffice" sorting-network
 ///     argument (§3.2).
-///   - The crossbar input arbiter (EDF or round-robin) is inlined into the
-///     scan; only the round-robin pointer is state (`rr_last_`).
+///   - The crossbar input arbiter (EDF `edf_pick` or round-robin
+///     `round_robin_pick`, arbiter.hpp) is an inline scan of that row;
+///     only the round-robin pointer is state (`rr_last_`).
 ///   - Per-switch occupancy is an O(1) counter (`queued_packets_`)
 ///     maintained at the same mutation points, so periodic probe sampling
 ///     reads a word instead of walking every queue.
@@ -52,7 +53,6 @@
 
 #include <array>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -159,11 +159,6 @@ class Switch final : public PacketReceiver {
   [[nodiscard]] std::size_t packets_in_transit() const { return xbar_in_transit_; }
 
  private:
-  /// Sentinel in the candidate-deadline cache: VOQ empty.
-  static constexpr std::int64_t kNoCandidate =
-      std::numeric_limits<std::int64_t>::max();
-  static constexpr std::size_t kNoWinner = ~std::size_t{0};
-
   /// Input/Output carry a back-pointer + port index so channel callbacks
   /// can be wired as raw (fn, ctx) pairs with the struct as context — the
   /// vectors are sized once in the constructor and never reallocate, so

@@ -322,6 +322,26 @@ TEST(LintRules, CrossShardMailboxUsageAndSuppressionLintClean) {
       << testing::PrintToString(rules_of(fs));
 }
 
+TEST(LintRules, UnattachedMarkersAreReported) {
+  const auto fs =
+      lint_source("src/sim/orphans.cpp", slurp("unattached_marker_bad.cpp"));
+  std::set<int> lines;
+  for (const Finding& f : fs) {
+    if (f.rule == "unattached-marker") lines.insert(f.line);
+  }
+  EXPECT_EQ(lines, (std::set<int>{4, 9}))
+      << testing::PrintToString(rules_of(fs));
+  // Markers on a function / inside a body attach: nothing to report.
+  EXPECT_EQ(count_rule(lint_source("src/sim/drain_bad.cpp",
+                                   slurp("hot_alloc_bad.cpp")),
+                       "unattached-marker"),
+            0);
+  EXPECT_EQ(count_rule(lint_source("src/switchfab/window_bad.cpp",
+                                   slurp("cross_shard_bad.cpp")),
+                       "unattached-marker"),
+            0);
+}
+
 // --------------------------------------------------- tree walk + headers
 
 TEST(LintDriver, TreeWalkFindsViolationsAndHonorsFileSuppression) {
@@ -667,8 +687,8 @@ TEST(LintTransitive, HotPathSuppressedNegativeLintsClean) {
 }
 
 TEST(LintTransitive, HotRootOwnBodyIsLeftToThePerFileRule) {
-  // The root's own allocation is hot-path-alloc (depth 0), never
-  // double-reported as hot-path-transitive.
+  // The root's own allocation is hot-path-alloc (depth 0 of the same
+  // walk), never double-reported as hot-path-transitive.
   const TreeReport r = lint_sources({{"src/fab/self.cpp",
                                       "#include <vector>\n"
                                       "std::vector<int> v;\n"

@@ -2,90 +2,89 @@
 
 #include <gtest/gtest.h>
 
-#include "proto/packet.hpp"
+#include <vector>
 
 namespace dqos {
 namespace {
 
-Packet mk(std::int64_t deadline) {
-  Packet p;
-  p.local_deadline = TimePoint::from_ps(deadline);
-  return p;
+constexpr auto kAll = [](std::size_t) { return true; };
+
+/// A candidate row as Switch::voq_dl_ holds it: one head deadline per
+/// input, kNoCandidate for an empty VOQ.
+constexpr std::int64_t kNone = kNoCandidate;
+
+std::vector<VcId> order_of(const WeightedVcPolicy& pol) {
+  std::vector<VcId> out;
+  pol.order(out);
+  return out;
 }
 
-TEST(EdfInputArbiter, PicksMinimumDeadline) {
-  EdfInputArbiter arb;
-  Packet a = mk(300), b = mk(100), c = mk(200);
-  std::vector<ArbCandidate> cands{{0, &a}, {3, &b}, {7, &c}};
-  const auto w = arb.pick(cands);
-  ASSERT_TRUE(w.has_value());
-  EXPECT_EQ(cands[*w].input, 3u);
+TEST(EdfPick, PicksMinimumDeadline) {
+  const std::vector<std::int64_t> row{300,   kNone, kNone, 100,
+                                      kNone, kNone, kNone, 200};
+  EXPECT_EQ(edf_pick(row.data(), row.size(), kAll), 3u);
 }
 
-TEST(EdfInputArbiter, TieBreaksByLowestInput) {
-  EdfInputArbiter arb;
-  Packet a = mk(100), b = mk(100);
-  std::vector<ArbCandidate> cands{{5, &a}, {2, &b}};
-  const auto w = arb.pick(cands);
-  ASSERT_TRUE(w.has_value());
-  EXPECT_EQ(cands[*w].input, 2u);
+TEST(EdfPick, TieBreaksByLowestInput) {
+  const std::vector<std::int64_t> row{kNone, kNone, 100, kNone, kNone, 100};
+  EXPECT_EQ(edf_pick(row.data(), row.size(), kAll), 2u);
 }
 
-TEST(EdfInputArbiter, EmptyYieldsNothing) {
-  EdfInputArbiter arb;
-  EXPECT_FALSE(arb.pick({}).has_value());
+TEST(EdfPick, EmptyYieldsNothing) {
+  const std::vector<std::int64_t> row(4, kNone);
+  EXPECT_EQ(edf_pick(row.data(), row.size(), kAll), kNoWinner);
 }
 
-TEST(RoundRobinInputArbiter, RotatesAcrossGrants) {
-  RoundRobinInputArbiter arb(4);
-  Packet p = mk(0);
-  std::vector<ArbCandidate> cands{{0, &p}, {1, &p}, {2, &p}, {3, &p}};
+TEST(EdfPick, BlockedMinimumFallsBackToMinimumEligible) {
+  // Input 1 holds the row minimum but its read port is busy (or its head
+  // does not fit): the grant goes to the smallest eligible deadline, with
+  // the tie between inputs 2 and 4 going to the lower index.
+  const std::vector<std::int64_t> row{500, 100, 200, kNone, 200};
+  const auto not_1 = [](std::size_t in) { return in != 1; };
+  EXPECT_EQ(edf_pick(row.data(), row.size(), not_1), 2u);
+  // Nothing eligible: no winner even though the row is non-empty.
+  const auto none = [](std::size_t) { return false; };
+  EXPECT_EQ(edf_pick(row.data(), row.size(), none), kNoWinner);
+}
+
+TEST(RoundRobinPick, RotatesAcrossGrants) {
+  const std::vector<std::int64_t> row{0, 0, 0, 0};
+  std::size_t last = kNoWinner;
   std::vector<std::size_t> grants;
   for (int i = 0; i < 8; ++i) {
-    const auto w = arb.pick(cands);
-    ASSERT_TRUE(w.has_value());
-    grants.push_back(cands[*w].input);
-    arb.granted(cands[*w].input);
+    const std::size_t w = round_robin_pick(row.data(), row.size(), last, kAll);
+    ASSERT_NE(w, kNoWinner);
+    grants.push_back(w);
+    last = w;
   }
   EXPECT_EQ(grants, (std::vector<std::size_t>{0, 1, 2, 3, 0, 1, 2, 3}));
 }
 
-TEST(RoundRobinInputArbiter, SkipsAbsentInputs) {
-  RoundRobinInputArbiter arb(4);
-  Packet p = mk(0);
-  std::vector<ArbCandidate> cands{{1, &p}, {3, &p}};
-  auto w = arb.pick(cands);
-  ASSERT_TRUE(w.has_value());
-  EXPECT_EQ(cands[*w].input, 1u);
-  arb.granted(1);
-  w = arb.pick(cands);
-  EXPECT_EQ(cands[*w].input, 3u);
-  arb.granted(3);
-  w = arb.pick(cands);  // wraps
-  EXPECT_EQ(cands[*w].input, 1u);
+TEST(RoundRobinPick, SkipsAbsentInputs) {
+  const std::vector<std::int64_t> row{kNone, 0, kNone, 0};
+  std::size_t last = kNoWinner;
+  last = round_robin_pick(row.data(), row.size(), last, kAll);
+  EXPECT_EQ(last, 1u);
+  last = round_robin_pick(row.data(), row.size(), last, kAll);
+  EXPECT_EQ(last, 3u);
+  last = round_robin_pick(row.data(), row.size(), last, kAll);  // wraps
+  EXPECT_EQ(last, 1u);
+  // An ineligible input is skipped like an absent one.
+  const auto not_3 = [](std::size_t in) { return in != 3; };
+  EXPECT_EQ(round_robin_pick(row.data(), row.size(), 1, not_3), 1u);
 }
 
-TEST(RoundRobinInputArbiter, PointerAdvancesOnlyOnGrant) {
-  RoundRobinInputArbiter arb(4);
-  Packet p = mk(0);
-  std::vector<ArbCandidate> cands{{0, &p}, {2, &p}};
-  // Two picks without granted(): same winner (credit-blocked retry must not
-  // unfairly skip an input).
-  EXPECT_EQ(cands[*arb.pick(cands)].input, 0u);
-  EXPECT_EQ(cands[*arb.pick(cands)].input, 0u);
-}
-
-TEST(StrictPriorityVc, AlwaysLowIndexFirst) {
-  StrictPriorityVcPolicy pol(3);
-  const auto order = pol.order();
-  EXPECT_EQ(order, (std::vector<VcId>{0, 1, 2}));
-  pol.granted(2, 4096);
-  EXPECT_EQ(pol.order(), (std::vector<VcId>{0, 1, 2}));
+TEST(RoundRobinPick, PointerAdvancesOnlyOnGrant) {
+  const std::vector<std::int64_t> row{0, kNone, 0, kNone};
+  // Two picks without a grant: same winner (a credit-blocked retry must
+  // not unfairly skip an input).
+  EXPECT_EQ(round_robin_pick(row.data(), row.size(), kNoWinner, kAll), 0u);
+  EXPECT_EQ(round_robin_pick(row.data(), row.size(), kNoWinner, kAll), 0u);
 }
 
 TEST(WeightedVc, OrderContainsAllVcsOnce) {
   WeightedVcPolicy pol({1, 1, 1, 1});
-  const auto order = pol.order();
+  const auto order = order_of(pol);
   ASSERT_EQ(order.size(), 4u);
   std::vector<bool> seen(4, false);
   for (const VcId vc : order) seen[vc] = true;
@@ -97,7 +96,7 @@ TEST(WeightedVc, EqualWeightsShareEvenly) {
   std::vector<std::uint64_t> bytes(2, 0);
   // All VCs always have traffic: grant repeatedly to the first VC in order.
   for (int i = 0; i < 10000; ++i) {
-    const VcId vc = pol.order().front();
+    const VcId vc = order_of(pol).front();
     bytes[vc] += 1024;
     pol.granted(vc, 1024);
   }
@@ -109,7 +108,7 @@ TEST(WeightedVc, WeightsRespectedUnderSaturation) {
   WeightedVcPolicy pol({3, 1}, 4096);
   std::vector<std::uint64_t> bytes(2, 0);
   for (int i = 0; i < 40000; ++i) {
-    const VcId vc = pol.order().front();
+    const VcId vc = order_of(pol).front();
     bytes[vc] += 512;
     pol.granted(vc, 512);
   }
@@ -124,13 +123,8 @@ TEST(WeightedVc, WorkConservingWhenVcSkipped) {
   WeightedVcPolicy pol({1, 1}, 4096);
   // Simulate: VC0 always empty; grants all go to VC1.
   for (int i = 0; i < 100; ++i) pol.granted(1, 1024);
-  const auto order = pol.order();
+  const auto order = order_of(pol);
   EXPECT_EQ(order.size(), 2u);  // still valid and complete
-}
-
-TEST(MakeInputArbiter, Factory) {
-  EXPECT_NE(make_input_arbiter(InputArbiterKind::kEdf, 4), nullptr);
-  EXPECT_NE(make_input_arbiter(InputArbiterKind::kRoundRobin, 4), nullptr);
 }
 
 }  // namespace

@@ -27,12 +27,12 @@ class QueueFixture : public testing::Test {
   PacketPool pool_;
 };
 
-// ---------------------------------------------------------------- FifoQueue
+// ------------------------------------------------------------------- fifo
 
-class FifoQueueTest : public QueueFixture {};
+class FifoDiscipline : public QueueFixture {};
 
-TEST_F(FifoQueueTest, FifoOrderRegardlessOfDeadline) {
-  FifoQueue q;
+TEST_F(FifoDiscipline, FifoOrderRegardlessOfDeadline) {
+  PacketQueue q(QueueKind::kFifo);
   q.enqueue(pkt(30));
   q.enqueue(pkt(10));
   q.enqueue(pkt(20));
@@ -41,8 +41,8 @@ TEST_F(FifoQueueTest, FifoOrderRegardlessOfDeadline) {
   EXPECT_EQ(q.dequeue()->local_deadline, TimePoint::from_ps(20'000'000));
 }
 
-TEST_F(FifoQueueTest, OrderErrorsCountHeadNotMin) {
-  FifoQueue q;
+TEST_F(FifoDiscipline, OrderErrorsCountHeadNotMin) {
+  PacketQueue q(QueueKind::kFifo);
   q.enqueue(pkt(30));  // head with late deadline
   q.enqueue(pkt(10));
   q.enqueue(pkt(20));
@@ -52,15 +52,15 @@ TEST_F(FifoQueueTest, OrderErrorsCountHeadNotMin) {
   EXPECT_EQ(q.order_errors(), 1u);
 }
 
-TEST_F(FifoQueueTest, NoOrderErrorsWhenArrivalsSorted) {
-  FifoQueue q;
+TEST_F(FifoDiscipline, NoOrderErrorsWhenArrivalsSorted) {
+  PacketQueue q(QueueKind::kFifo);
   for (int d = 1; d <= 20; ++d) q.enqueue(pkt(d));
   for (int d = 1; d <= 20; ++d) (void)q.dequeue();
   EXPECT_EQ(q.order_errors(), 0u);
 }
 
-TEST_F(FifoQueueTest, MinDeadlineTracksContents) {
-  FifoQueue q;
+TEST_F(FifoDiscipline, MinDeadlineTracksContents) {
+  PacketQueue q(QueueKind::kFifo);
   EXPECT_EQ(q.min_deadline(), TimePoint::max());
   q.enqueue(pkt(30));
   q.enqueue(pkt(10));
@@ -71,12 +71,12 @@ TEST_F(FifoQueueTest, MinDeadlineTracksContents) {
   EXPECT_EQ(q.min_deadline(), TimePoint::max());
 }
 
-// ---------------------------------------------------------------- HeapQueue
+// ------------------------------------------------------------------- heap
 
-class HeapQueueTest : public QueueFixture {};
+class HeapDiscipline : public QueueFixture {};
 
-TEST_F(HeapQueueTest, AlwaysDequeuesMinimum) {
-  HeapQueue q;
+TEST_F(HeapDiscipline, AlwaysDequeuesMinimum) {
+  PacketQueue q(QueueKind::kHeap);
   Rng rng(5);
   std::vector<std::int64_t> deadlines;
   for (int i = 0; i < 500; ++i) {
@@ -91,15 +91,15 @@ TEST_F(HeapQueueTest, AlwaysDequeuesMinimum) {
   EXPECT_EQ(q.order_errors(), 0u);
 }
 
-TEST_F(HeapQueueTest, StableOnEqualDeadlines) {
+TEST_F(HeapDiscipline, StableOnEqualDeadlines) {
   // Equal deadlines leave in arrival order, preserving single-flow order.
-  HeapQueue q;
+  PacketQueue q(QueueKind::kHeap);
   for (std::uint32_t s = 0; s < 50; ++s) q.enqueue(pkt(7, /*flow=*/1, 256, s));
   for (std::uint32_t s = 0; s < 50; ++s) EXPECT_EQ(q.dequeue()->hdr.flow_seq, s);
 }
 
-TEST_F(HeapQueueTest, InterleavedEnqueueDequeue) {
-  HeapQueue q;
+TEST_F(HeapDiscipline, InterleavedEnqueueDequeue) {
+  PacketQueue q(QueueKind::kHeap);
   q.enqueue(pkt(50));
   q.enqueue(pkt(10));
   EXPECT_EQ(q.dequeue()->local_deadline.ps(), 10 * 1'000'000);
@@ -110,20 +110,20 @@ TEST_F(HeapQueueTest, InterleavedEnqueueDequeue) {
   EXPECT_EQ(q.dequeue()->local_deadline.ps(), 70 * 1'000'000);
 }
 
-// ------------------------------------------------------------ TakeoverQueue
+// --------------------------------------------------------------- takeover
 
-class TakeoverQueueTest : public QueueFixture {};
+class TakeoverDiscipline : public QueueFixture {};
 
-TEST_F(TakeoverQueueTest, InOrderArrivalsStayInOrderedQueue) {
-  TakeoverQueue q;
+TEST_F(TakeoverDiscipline, InOrderArrivalsStayInOrderedQueue) {
+  PacketQueue q(QueueKind::kTakeover);
   for (int d = 1; d <= 10; ++d) q.enqueue(pkt(d));
   EXPECT_EQ(q.ordered_packets(), 10u);
   EXPECT_EQ(q.takeover_packets(), 0u);
   EXPECT_EQ(q.takeovers(), 0u);
 }
 
-TEST_F(TakeoverQueueTest, SmallerDeadlineGoesToTakeoverQueue) {
-  TakeoverQueue q;
+TEST_F(TakeoverDiscipline, SmallerDeadlineTakesOver) {
+  PacketQueue q(QueueKind::kTakeover);
   q.enqueue(pkt(100));
   q.enqueue(pkt(50));  // smaller than L tail -> U
   EXPECT_EQ(q.ordered_packets(), 1u);
@@ -134,17 +134,17 @@ TEST_F(TakeoverQueueTest, SmallerDeadlineGoesToTakeoverQueue) {
   EXPECT_EQ(q.dequeue()->local_deadline.ps(), 100 * 1'000'000);
 }
 
-TEST_F(TakeoverQueueTest, EqualToTailGoesToOrderedQueue) {
+TEST_F(TakeoverDiscipline, EqualToTailGoesToOrderedQueue) {
   // Definition 1: D(p) >= D(L_tail) -> L.
-  TakeoverQueue q;
+  PacketQueue q(QueueKind::kTakeover);
   q.enqueue(pkt(100));
   q.enqueue(pkt(100));
   EXPECT_EQ(q.ordered_packets(), 2u);
   EXPECT_EQ(q.takeovers(), 0u);
 }
 
-TEST_F(TakeoverQueueTest, TieBetweenHeadsPrefersOrderedQueue) {
-  TakeoverQueue q;
+TEST_F(TakeoverDiscipline, TieBetweenHeadsPrefersOrderedQueue) {
+  PacketQueue q(QueueKind::kTakeover);
   q.enqueue(pkt(100, /*flow=*/1));
   q.enqueue(pkt(50, /*flow=*/2));   // -> U
   q.enqueue(pkt(100, /*flow=*/3));  // -> L (equal to tail)
@@ -154,7 +154,7 @@ TEST_F(TakeoverQueueTest, TieBetweenHeadsPrefersOrderedQueue) {
   EXPECT_EQ(q.dequeue()->hdr.flow, 3u);
 }
 
-TEST_F(TakeoverQueueTest, OrderErrorsReducedVsFifo) {
+TEST_F(TakeoverDiscipline, OrderErrorsReducedVsFifo) {
   // Same arrival trace through FIFO and take-over: the take-over queue must
   // commit strictly fewer order errors (the paper's 25% -> 5% effect).
   Rng rng(77);
@@ -166,8 +166,8 @@ TEST_F(TakeoverQueueTest, OrderErrorsReducedVsFifo) {
     trace.push_back(rng.chance(0.15) ? base - static_cast<std::int64_t>(rng.uniform_int(1, 500))
                                      : base);
   }
-  FifoQueue fifo;
-  TakeoverQueue takeover;
+  PacketQueue fifo(QueueKind::kFifo);
+  PacketQueue takeover(QueueKind::kTakeover);
   std::uint64_t fifo_errors = 0, takeover_errors = 0;
   // Keep occupancy shallow (a few packets), like a real 8 KB / 2 KB-MTU
   // switch buffer under load.
@@ -204,7 +204,7 @@ TEST_P(TakeoverTheorems, NoOutOfOrderDeliveryWithinFlows) {
   const auto& tp = GetParam();
   Rng rng(tp.seed);
   PacketPool pool;
-  TakeoverQueue q;
+  PacketQueue q(QueueKind::kTakeover);
   std::vector<std::int64_t> flow_deadline(static_cast<std::size_t>(tp.flows), 0);
   std::vector<std::uint32_t> flow_seq(static_cast<std::size_t>(tp.flows), 0);
   std::map<FlowId, std::uint32_t> last_departed;
@@ -249,7 +249,7 @@ TEST_P(TakeoverTheorems, DequeueIsMinOfHeadsAndLemma1Holds) {
   const auto& tp = GetParam();
   Rng rng(tp.seed ^ 0xabcdef);
   PacketPool pool;
-  TakeoverQueue q;
+  PacketQueue q(QueueKind::kTakeover);
   std::int64_t clock = 0;
   int in_flight = 0;
   for (int i = 0; i < tp.packets; ++i) {
@@ -296,7 +296,7 @@ class AnyQueue : public testing::TestWithParam<QueueKind> {};
 
 TEST_P(AnyQueue, BytesAccounting) {
   PacketPool pool;
-  auto q = make_queue(GetParam());
+  PacketQueue q(GetParam());
   auto mk = [&](std::uint32_t bytes, std::int64_t d) {
     PacketPtr p = pool.make();
     p->hdr.wire_bytes = bytes;
@@ -315,7 +315,7 @@ TEST_P(AnyQueue, BytesAccounting) {
 }
 
 TEST_P(AnyQueue, CandidateNullWhenEmpty) {
-  auto q = make_queue(GetParam());
+  PacketQueue q(GetParam());
   EXPECT_EQ(q.candidate(), nullptr);
   EXPECT_EQ(q.min_deadline(), TimePoint::max());
 }
@@ -323,7 +323,7 @@ TEST_P(AnyQueue, CandidateNullWhenEmpty) {
 TEST_P(AnyQueue, CandidateMatchesDequeue) {
   PacketPool pool;
   Rng rng(99);
-  auto q = make_queue(GetParam());
+  PacketQueue q(GetParam());
   for (int i = 0; i < 200; ++i) {
     if (q.empty() || rng.chance(0.6)) {
       PacketPtr p = pool.make();
@@ -345,7 +345,7 @@ TEST_P(AnyQueue, PerFlowOrderPreservedUnderHypotheses) {
   // via Theorem 3).
   PacketPool pool;
   Rng rng(123);
-  auto q = make_queue(GetParam());
+  PacketQueue q(GetParam());
   std::vector<std::int64_t> flow_deadline(4, 0);
   std::vector<std::uint32_t> flow_seq(4, 0);
   std::map<FlowId, std::uint32_t> last;

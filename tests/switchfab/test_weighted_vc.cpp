@@ -115,6 +115,12 @@ TEST_F(WeightedVcFixture, FourVcTable) {
 
 // --------- banked-deficit bound (policy-level regression) -----------------
 
+std::vector<VcId> order_of(const WeightedVcPolicy& pol) {
+  std::vector<VcId> out;
+  pol.order(out);
+  return out;
+}
+
 /// The DRR bank must never exceed one allocation plus one quantum, no
 /// matter how adversarial the grant sequence: without the clamp, a VC that
 /// the ring repeatedly skips (blocked upstream) would accrue unbounded
@@ -141,7 +147,7 @@ TEST(WeightedVcDeficit, BankIsClampedUnderAdversarialSequences) {
   std::int64_t vc3_burst = 0;
   pol.granted(3, 2048);
   vc3_burst += 2048;
-  while (pol.order().front() == 3) {
+  while (order_of(pol).front() == 3) {
     pol.granted(3, 2048);
     vc3_burst += 2048;
     ASSERT_LE(vc3_burst, pol.allocation(3) + quantum + 2048);
@@ -169,7 +175,7 @@ TEST(WeightedVcDeficit, OvershootDebtCarriesAcrossRounds) {
   // 1:1 weights despite VC0's per-round overshoot.
   std::int64_t b0 = 0, b1 = 0;
   for (int round = 0; round < 4000; ++round) {
-    std::vector<VcId> order = pol.order();
+    std::vector<VcId> order = order_of(pol);
     if (order.front() == 0) {
       pol.granted(0, 4096);
       b0 += 4096;

@@ -2,8 +2,8 @@
 /// Standalone determinism lint for the dqos tree (DESIGN.md §9).
 ///
 ///   dqos_lint [--root=DIR] [--baseline=FILE] [--write-baseline=FILE]
-///             [--check-headers] [--check-suppressions] [--no-transitive]
-///             [--sarif=FILE] [--callgraph-dump] [--compiler=CXX] [paths...]
+///             [--check-headers] [--check-suppressions] [--sarif=FILE]
+///             [--callgraph-dump] [--compiler=CXX] [paths...]
 ///
 /// Walks src/, tools/, and bench/ (or the given paths, relative to
 /// --root), applies the per-file rules (tools/lint/rules.hpp) and the
@@ -31,9 +31,8 @@ namespace {
 
 const char* kUsage =
     "usage: dqos_lint [--root=DIR] [--baseline=FILE] [--write-baseline=FILE]\n"
-    "                 [--check-headers] [--check-suppressions]\n"
-    "                 [--no-transitive] [--sarif=FILE] [--callgraph-dump]\n"
-    "                 [--compiler=CXX] [paths...]\n";
+    "                 [--check-headers] [--check-suppressions] [--sarif=FILE]\n"
+    "                 [--callgraph-dump] [--compiler=CXX] [paths...]\n";
 
 bool take(const char* arg, const char* flag, std::string& out) {
   const std::size_t n = std::strlen(flag);
@@ -68,8 +67,6 @@ int main(int argc, char** argv) {
       opt.check_headers = true;
     } else if (std::strcmp(a, "--check-suppressions") == 0) {
       opt.check_suppressions = true;
-    } else if (std::strcmp(a, "--no-transitive") == 0) {
-      opt.transitive = false;
     } else if (std::strcmp(a, "--callgraph-dump") == 0) {
       callgraph_dump = true;
     } else if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {

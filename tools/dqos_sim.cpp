@@ -86,7 +86,17 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(cfg.seed));
 
   NetworkSimulator net(cfg);
+  ShardExecutor* const engine = net.shard_engine();
   std::unique_ptr<PacketTracer> tracer;
+  if (args.has("trace") && engine != nullptr) {
+    // The tracer is one unsynchronized buffer fed in event order; shard
+    // workers would race on it, and inline shards emit out of time order.
+    std::fprintf(stderr,
+                 "dqos_sim: --trace needs a serial run: this config resolves "
+                 "to %u shards; rerun with --shards=1\n",
+                 engine->num_shards());
+    return 2;
+  }
   if (args.has("trace")) {
     tracer = std::make_unique<PacketTracer>(
         static_cast<std::size_t>(args.get_int("trace-cap", 1 << 20)));
@@ -154,6 +164,19 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(rep.flows_admitted),
               static_cast<unsigned long long>(rep.flows_rejected),
               static_cast<unsigned long long>(rep.events_processed));
+  if (engine != nullptr) {
+    const std::uint64_t windows = engine->windows_run();
+    std::printf("shards: %u (%s), %llu windows, %llu serial instants, "
+                "%llu cross-shard messages, %.1f events/window\n",
+                engine->num_shards(),
+                engine->threaded() ? "threaded" : "inline",
+                static_cast<unsigned long long>(windows),
+                static_cast<unsigned long long>(engine->instants_run()),
+                static_cast<unsigned long long>(engine->cross_messages()),
+                windows ? static_cast<double>(rep.events_processed) /
+                              static_cast<double>(windows)
+                        : 0.0);
+  }
 
   if (scn) {
     for (const PhaseReport& ph : srep.phases) {
@@ -281,9 +304,11 @@ int main(int argc, char** argv) {
     if (scn && scn->multi_phase()) {
       for (const PhaseReport& ph : srep.phases) {
         for (const TrafficClass c : all_traffic_classes()) {
-          class_row("p" + std::to_string(ph.index) + ":" +
-                        std::string(to_string(c)),
-                    ph.of(c));
+          std::string label = "p";
+          label += std::to_string(ph.index);
+          label += ':';
+          label += to_string(c);
+          class_row(label, ph.of(c));
         }
       }
     }

@@ -51,11 +51,8 @@ bool dump_dot(const Topology& topo, const std::string& path) {
     for (PortId p = 0; p < topo.num_ports(n); ++p) {
       const Endpoint e = topo.peer(n, p);
       if (!e.valid() || e.node < n) continue;
-      const auto name = [&](NodeId id) {
-        return topo.is_host(id) ? "h" + std::to_string(id)
-                                : "s" + std::to_string(id);
-      };
-      std::fprintf(f, "  %s -- %s;\n", name(n).c_str(), name(e.node).c_str());
+      std::fprintf(f, "  %c%u -- %c%u;\n", topo.is_host(n) ? 'h' : 's', n,
+                   topo.is_host(e.node) ? 'h' : 's', e.node);
     }
   }
   std::fputs("}\n", f);

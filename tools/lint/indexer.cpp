@@ -334,7 +334,7 @@ void index_unit(Unit unit, Index& idx) {
   }
 
   // `// dqos-lint: hot` markers: the first function whose body opens at or
-  // after the marker line is hot (same mapping as the per-file rule).
+  // after the marker line is hot.
   for (const int mark : u.lx.hot_marks) {
     int best = -1;
     std::size_t best_open = t.size() + 1;
@@ -346,7 +346,11 @@ void index_unit(Unit unit, Index& idx) {
         best_open = fd.body_begin;
       }
     }
-    if (best >= 0) idx.defs[static_cast<std::size_t>(best)].hot = true;
+    if (best >= 0) {
+      idx.defs[static_cast<std::size_t>(best)].hot = true;
+    } else {
+      idx.unattached.push_back(UnattachedMarker{unit_id, mark, "hot"});
+    }
   }
 
   // `// dqos-lint: shard` regions: marker token to the '}' that closes the
@@ -372,12 +376,17 @@ void index_unit(Unit unit, Index& idx) {
     ShardRegion region;
     region.unit = unit_id;
     region.marker_line = mark;
+    region.begin = begin;
+    region.end = end;
     for (int d = first_def; d < static_cast<int>(idx.defs.size()); ++d) {
       const FunctionDef& fd = idx.defs[static_cast<std::size_t>(d)];
       if (fd.body_begin <= begin && end <= fd.body_end) {
         region.enclosing_def = d;
         break;
       }
+    }
+    if (region.enclosing_def < 0) {
+      idx.unattached.push_back(UnattachedMarker{unit_id, mark, "shard"});
     }
     scan_calls(t, begin, end, region.enclosing_def, unit_id, region.calls,
                nullptr);

@@ -52,12 +52,24 @@ struct CallSite {
   int line = 0;
 };
 
-/// A `// dqos-lint: shard` region and the calls made inside it.
+/// A `// dqos-lint: shard` region: from the first token at/after the
+/// marker to the '}' closing the block it sits in, and the calls inside.
 struct ShardRegion {
   int unit = -1;
   int marker_line = 0;
   int enclosing_def = -1;  ///< def whose body contains the region, or -1
+  std::size_t begin = 0;   ///< token index of the region's first token
+  std::size_t end = 0;     ///< token index one past its last token
   std::vector<CallSite> calls;
+};
+
+/// A `// dqos-lint: hot` marker with no function at or after it, or a
+/// `// dqos-lint: shard` marker outside every function body: it attaches
+/// to nothing, so nothing it means to guard would be checked.
+struct UnattachedMarker {
+  int unit = -1;
+  int line = 0;
+  const char* kind = "";  ///< "hot" or "shard"
 };
 
 /// `rng.split(CONSTANT)` with a literal first argument: a named stream
@@ -81,6 +93,7 @@ struct Index {
   std::vector<FunctionDef> defs;
   std::vector<std::vector<CallSite>> calls;  ///< per def id
   std::vector<ShardRegion> shard_regions;
+  std::vector<UnattachedMarker> unattached;
   std::vector<RngSplitSite> rng_splits;
   std::vector<RngDrawSite> rng_draws;
   /// Unqualified name -> def ids, for suffix resolution.

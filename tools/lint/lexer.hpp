@@ -12,10 +12,12 @@
 ///   // dqos-lint: allow-file(rule-a)      — suppresses for the whole file
 ///   // dqos-lint: hot                     — marks the function that starts
 ///                                           on/after this line as hot-path
-///                                           (hot-path-alloc applies to it)
+///                                           (hot-path-alloc applies to it,
+///                                           hot-path-transitive to callees)
 ///   // dqos-lint: shard                   — marks the enclosing block as
 ///                                           shard-worker code
-///                                           (cross-shard-access applies)
+///                                           (cross-shard-access applies,
+///                                           shard-ownership to callees)
 ///
 /// Line numbers are 1-based and attached to every token so findings print
 /// as `file:line: [rule-id] message`.

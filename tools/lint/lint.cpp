@@ -51,11 +51,11 @@ struct InputFile {
   std::string companion;
 };
 
-/// The shared core behind lint_tree_full and lint_sources: lexes every
-/// input once, runs the per-file rules, builds the whole-program index +
-/// call graph over the same lexed tokens, runs the transitive rules, and
-/// splits out stale `allow(...)` markers.
-TreeReport analyze(const std::vector<InputFile>& files, bool transitive,
+/// The one analysis path behind lint_tree_full, lint_sources and
+/// lint_source: lexes every input once, runs the per-file rules, builds the
+/// whole-program index + call graph over the same lexed tokens, runs the
+/// transitive rules, and splits out stale `allow(...)` markers.
+TreeReport analyze(const std::vector<InputFile>& files,
                    bool check_suppressions) {
   TreeReport report;
   for (const InputFile& f : files) {
@@ -72,9 +72,7 @@ TreeReport analyze(const std::vector<InputFile>& files, bool transitive,
     run_rules(files[i].rel, report.index.units[i].lx, companions, all);
   }
   report.graph = build_call_graph(report.index);
-  if (transitive) {
-    run_transitive_rules(report.index, report.graph, all);
-  }
+  run_transitive_rules(report.index, report.graph, all);
 
   if (check_suppressions) {
     // A marker is live when at least one finding matched it; everything
@@ -120,15 +118,9 @@ TreeReport analyze(const std::vector<InputFile>& files, bool transitive,
 std::vector<Finding> lint_source(const std::string& rel_path,
                                  const std::string& content,
                                  const std::string& companion_content) {
-  std::set<std::string> companions;
-  if (!companion_content.empty()) {
-    companions = nondeterministic_containers(lex(companion_content));
-  }
-  std::vector<Finding> out;
-  run_rules(rel_path, lex(content), companions, out);
-  drop_suppressed(out);
-  sort_findings(out);
-  return out;
+  return analyze({InputFile{rel_path, content, companion_content}},
+                 /*check_suppressions=*/false)
+      .findings;
 }
 
 TreeReport lint_sources(const std::vector<SourceFile>& files,
@@ -147,7 +139,7 @@ TreeReport lint_sources(const std::vector<SourceFile>& files,
     }
     inputs.push_back(std::move(in));
   }
-  return analyze(inputs, /*transitive=*/true, check_suppressions);
+  return analyze(inputs, check_suppressions);
 }
 
 bool header_compiles(const std::string& abs_path, const Options& opt) {
@@ -198,8 +190,7 @@ TreeReport lint_tree_full(const Options& opt) {
     inputs.push_back(std::move(in));
   }
 
-  TreeReport report =
-      analyze(inputs, opt.transitive, opt.check_suppressions);
+  TreeReport report = analyze(inputs, opt.check_suppressions);
   if (opt.check_headers) {
     for (const fs::path& f : files) {
       if (!has_ext(f, ".hpp") || header_compiles(fs::absolute(f).string(), opt)) {

@@ -31,18 +31,15 @@ struct Options {
   /// Include dirs for the header-standalone compile, relative to `root`;
   /// default src and tools.
   std::vector<std::string> include_dirs;
-  /// Run the whole-program rules (tools/lint/transitive.hpp) on top of
-  /// the per-file token rules.
-  bool transitive = true;
   /// Report `allow(...)` markers that no longer suppress anything as
   /// stale-suppression findings.
   bool check_suppressions = false;
 };
 
-/// Lints one in-memory file as if it lived at `rel_path`;
-/// `companion_content` (optional) supplies the matching header's text so
-/// member-container declarations carry over to the .cpp. Per-file rules
-/// only; use lint_sources for the whole-program rules.
+/// Lints one in-memory file as if it lived at `rel_path`: a one-file tree
+/// through the same analysis as lint_tree (every rule, the whole-program
+/// ones included). `companion_content` (optional) supplies the matching
+/// header's text so member-container declarations carry over to the .cpp.
 std::vector<Finding> lint_source(const std::string& rel_path,
                                  const std::string& content,
                                  const std::string& companion_content = {});

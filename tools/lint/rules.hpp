@@ -1,5 +1,8 @@
 /// \file rules.hpp
-/// The project-invariant rules dqos_lint enforces (DESIGN.md §9).
+/// The per-file project-invariant rules dqos_lint enforces (DESIGN.md §9).
+/// The marker-driven rules (hot-path-alloc, cross-shard-access) live with
+/// the call-graph rules in transitive.hpp: they are the depth-0 case of
+/// the same walk.
 ///
 ///   rule id                | guards against
 ///   -----------------------|------------------------------------------------
@@ -19,15 +22,6 @@
 ///   unaudited-packet-free  | PacketPtr reset / nullptr-assignment in src/
 ///                          | (drop paths must retire_packet() so the
 ///                          | auditor's custody census stays exact)
-///   hot-path-alloc         | heap allocation (new/make_unique/malloc) or
-///                          | container growth (push_back/insert/resize/…)
-///                          | inside a function marked `// dqos-lint: hot`
-///                          | (the batch drain / argmin scan / credit flush
-///                          | paths must stay allocation-free)
-///   cross-shard-access     | direct calendar calls (schedule_at / keyed /
-///                          | run_until) inside a `// dqos-lint: shard`
-///                          | block — shard-worker code crosses shards
-///                          | only through the engine's mailbox API
 ///   header-standalone      | headers that do not compile on their own
 ///                          | (checked by the driver, not a token rule)
 ///

@@ -62,7 +62,7 @@ void add(const Index& idx, const FunctionDef& def, int line, const char* rule,
 }
 
 // ---------------------------------------------------------------------------
-// hot-path-transitive
+// hot-path-alloc (depth 0) / hot-path-transitive (depth >= 1)
 // ---------------------------------------------------------------------------
 
 /// One banned construct inside a function body.
@@ -73,8 +73,8 @@ struct Offense {
 
 /// Scans a def's own body tokens for the constructs hot-reachable code
 /// must not contain: heap allocation, container growth, type erasure,
-/// wall-clock / libc randomness. Same token tables as the per-file rules
-/// (rules.hpp tables::) so the two layers cannot drift.
+/// wall-clock / libc randomness. Same token tables as the directory-scoped
+/// rules (rules.hpp tables::) so the two layers cannot drift.
 std::vector<Offense> hot_offenses(const Index& idx, const FunctionDef& def) {
   const TokenVec& t = idx.unit_of(def).lx.tokens;
   std::vector<Offense> out;
@@ -118,8 +118,11 @@ std::vector<Offense> hot_offenses(const Index& idx, const FunctionDef& def) {
   return out;
 }
 
-void rule_hot_path_transitive(const Index& idx, const CallGraph& graph,
-                              std::vector<Finding>& out) {
+/// Every function reachable from a `// dqos-lint: hot` root, the roots
+/// themselves included: a root's own body reports as hot-path-alloc, a
+/// callee's as hot-path-transitive with the call chain.
+void rule_hot_path(const Index& idx, const CallGraph& graph,
+                   std::vector<Finding>& out) {
   std::vector<int> roots;
   for (const FunctionDef& d : idx.defs) {
     if (d.hot) roots.push_back(d.id);
@@ -127,26 +130,65 @@ void rule_hot_path_transitive(const Index& idx, const CallGraph& graph,
   if (roots.empty()) return;
   const Reach reach = reach_from(idx, graph, roots);
   for (const FunctionDef& d : idx.defs) {
-    // Roots audit their own body via the per-file hot-path-alloc rule;
-    // the transitive rule owns everything at depth >= 1.
-    if (reach.depth[static_cast<std::size_t>(d.id)] < 1) continue;
+    const int depth = reach.depth[static_cast<std::size_t>(d.id)];
+    if (depth < 0) continue;
     for (const Offense& o : hot_offenses(idx, d)) {
-      add(idx, d, o.line, "hot-path-transitive",
-          o.what + " in '" + d.qualified +
-              "', reachable from a `dqos-lint: hot` root via " +
-              chain_string(idx, reach, d.id),
-          out);
+      if (depth == 0) {
+        add(idx, d, o.line, "hot-path-alloc",
+            o.what + " inside the `dqos-lint: hot` function '" + d.qualified +
+                "' — hot paths must not allocate, type-erase or read the "
+                "wall clock (preallocate at construction; DESIGN.md §11)",
+            out);
+      } else {
+        add(idx, d, o.line, "hot-path-transitive",
+            o.what + " in '" + d.qualified +
+                "', reachable from a `dqos-lint: hot` root via " +
+                chain_string(idx, reach, d.id),
+            out);
+      }
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// shard-ownership
+// cross-shard-access (the region itself) / shard-ownership (its callees)
 // ---------------------------------------------------------------------------
 
-void rule_shard_ownership(const Index& idx, const CallGraph& graph,
-                          std::vector<Finding>& out) {
+/// Calls `report(i)` for every direct calendar call (schedule_at / keyed
+/// / run_until) at token index i in [begin, end) of `t`.
+template <class Report>
+void scan_calendar_calls(const TokenVec& t, std::size_t begin, std::size_t end,
+                         Report report) {
+  for (std::size_t i = begin; i < end && i < t.size(); ++i) {
+    if (t[i].kind != Token::Kind::kIdent || !is_punct(t, i + 1, "(")) continue;
+    for (const char* call : tables::kDirectCalendarCalls) {
+      if (t[i].text == call) report(i);
+    }
+  }
+}
+
+/// A `// dqos-lint: shard` region runs on a shard worker while other
+/// shards run concurrently: neither its own statements nor anything they
+/// call may touch a calendar directly. Cross-shard traffic goes through
+/// the engine's mailbox API (outbox CrossMsg / CrossArrivalNote), which
+/// the barrier replays in serial order; even a keyed insert races the
+/// owning worker's drain.
+void rule_shard(const Index& idx, const CallGraph& graph,
+                std::vector<Finding>& out) {
   for (const ShardRegion& region : idx.shard_regions) {
+    const Unit& u = idx.units[static_cast<std::size_t>(region.unit)];
+    const TokenVec& rt = u.lx.tokens;
+    scan_calendar_calls(rt, region.begin, region.end, [&](std::size_t i) {
+      const Token& tok = rt[i];
+      out.push_back(Finding{
+          u.file, tok.line, "cross-shard-access",
+          "'" + tok.text + "()' inside a `dqos-lint: shard` region — worker "
+                           "code must not touch a calendar directly; post a "
+                           "CrossMsg/note through the mailbox API and let the "
+                           "barrier deliver it",
+          u.lx.allowed("cross-shard-access", tok.line)});
+    });
+
     std::set<int> root_set;
     for (const CallSite& c : region.calls) {
       for (const int d : resolve_call(idx, region.enclosing_def, c)) {
@@ -156,30 +198,39 @@ void rule_shard_ownership(const Index& idx, const CallGraph& graph,
     if (root_set.empty()) continue;
     const std::vector<int> roots(root_set.begin(), root_set.end());
     const Reach reach = reach_from(idx, graph, roots);
-    const std::string where =
-        idx.units[static_cast<std::size_t>(region.unit)].file + ":" +
-        std::to_string(region.marker_line);
+    const std::string where = u.file + ":" + std::to_string(region.marker_line);
     for (const FunctionDef& d : idx.defs) {
       if (!reach.reached(d.id)) continue;
-      // The region's own statements are the per-file cross-shard-access
-      // rule's job; reached callees are ours.
       const TokenVec& t = idx.unit_of(d).lx.tokens;
-      for (std::size_t i = d.body_begin + 1;
-           i + 1 < d.body_end && i < t.size(); ++i) {
-        if (t[i].kind != Token::Kind::kIdent || !is_punct(t, i + 1, "(")) {
-          continue;
-        }
-        for (const char* call : tables::kDirectCalendarCalls) {
-          if (t[i].text != call) continue;
-          add(idx, d, t[i].line, "shard-ownership",
-              "direct calendar call '" + t[i].text +
-                  "' reachable from the `dqos-lint: shard` region at " +
-                  where + " via " + chain_string(idx, reach, d.id) +
-                  " — cross-shard effects must go through the mailbox API",
-              out);
-        }
-      }
+      const std::size_t body_end = d.body_end - 1;  // the closing '}'
+      scan_calendar_calls(t, d.body_begin + 1, body_end, [&](std::size_t i) {
+        add(idx, d, t[i].line, "shard-ownership",
+            "direct calendar call '" + t[i].text +
+                "' reachable from the `dqos-lint: shard` region at " + where +
+                " via " + chain_string(idx, reach, d.id) +
+                " — cross-shard effects must go through the mailbox API",
+            out);
+      });
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// unattached-marker
+// ---------------------------------------------------------------------------
+
+void rule_unattached_markers(const Index& idx, std::vector<Finding>& out) {
+  for (const UnattachedMarker& m : idx.unattached) {
+    const Unit& u = idx.units[static_cast<std::size_t>(m.unit)];
+    const std::string kind = m.kind;
+    out.push_back(Finding{
+        u.file, m.line, "unattached-marker",
+        "`dqos-lint: " + kind + "` marker attaches to no " +
+            (kind == "hot" ? "function at or after it"
+                           : "function body around it") +
+            " — nothing it means to guard is checked; move it onto the code "
+            "it is for",
+        u.lx.allowed("unattached-marker", m.line)});
   }
 }
 
@@ -317,8 +368,9 @@ void rule_float_time_transitive(const Index& idx, const CallGraph& graph,
 
 void run_transitive_rules(const Index& idx, const CallGraph& graph,
                           std::vector<Finding>& out) {
-  rule_hot_path_transitive(idx, graph, out);
-  rule_shard_ownership(idx, graph, out);
+  rule_hot_path(idx, graph, out);
+  rule_shard(idx, graph, out);
+  rule_unattached_markers(idx, out);
   rule_rng_stream_discipline(idx, out);
   rule_float_time_transitive(idx, graph, out);
 }
