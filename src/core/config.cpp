@@ -2,9 +2,39 @@
 
 #include <cmath>
 
+#include "sim/simulator.hpp"
 #include "util/contracts.hpp"
 
 namespace dqos {
+namespace {
+
+/// Hosts + switches of the configured topology, in 64 bits and saturated
+/// (so a typo'd size cannot wrap into a small, accepted count).
+std::uint64_t node_count(const SimConfig& c) {
+  constexpr std::uint64_t kCap = std::uint64_t{1} << 40;
+  const auto mul = [](std::uint64_t a, std::uint64_t b) {
+    return (b != 0 && a > kCap / b) ? kCap : a * b;
+  };
+  switch (c.topology) {
+    case TopologyKind::kFoldedClos:
+      return mul(c.num_leaves, c.hosts_per_leaf) + c.num_leaves + c.num_spines;
+    case TopologyKind::kKaryNTree: {
+      std::uint64_t level = 1;  // k^(n-1) switches per stage
+      for (std::uint32_t i = 1; i < c.kary_n; ++i) level = mul(level, c.kary_k);
+      return mul(level, c.kary_k) + mul(level, c.kary_n);
+    }
+    case TopologyKind::kSingleSwitch:
+      return std::uint64_t{c.single_switch_hosts} + 1;
+    case TopologyKind::kMesh2D: {
+      const std::uint64_t routers = mul(c.mesh_width, c.mesh_height);
+      return mul(routers, c.mesh_concentration) + routers;
+    }
+  }
+  DQOS_ASSERT(false);
+  return 0;
+}
+
+}  // namespace
 
 std::uint32_t SimConfig::num_hosts() const {
   switch (topology) {
@@ -22,6 +52,13 @@ std::uint32_t SimConfig::num_hosts() const {
 }
 
 std::string SimConfig::check() const {
+  // Event keys carry the scheduling node as entity 1 + NodeId in 24 bits.
+  if (node_count(*this) > EventLane::kMaxEntity - 1) {
+    return "topology has " + std::to_string(node_count(*this)) +
+           " nodes; event keys hold at most " +
+           std::to_string(EventLane::kMaxEntity - 1) +
+           " (24-bit entity field)";
+  }
   if (num_hosts() < 2) return "topology must provide at least 2 hosts";
   if (!(load > 0.0 && load <= 2.0)) return "load must be in (0, 2]";
   if (!(num_vcs >= 1 && num_vcs <= 8)) return "vcs must be in [1, 8]";

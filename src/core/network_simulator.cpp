@@ -521,7 +521,7 @@ SimReport NetworkSimulator::run() {
   return controller.run().total;
 }
 
-void NetworkSimulator::begin_run() {
+void NetworkSimulator::begin_run(const Scenario& scn) {
   if (ran_) {
     throw RunError(
         "run error: this NetworkSimulator has already run; the event "
@@ -529,7 +529,7 @@ void NetworkSimulator::begin_run() {
         "simulator per run (phased experiments go through RunController)");
   }
   ran_ = true;
-  prepare_workload();
+  prepare_workload(scn);
 }
 
 void NetworkSimulator::start_sources(TimePoint stop) {
@@ -751,7 +751,7 @@ void NetworkSimulator::on_flow_aborted(FlowId id) {
     DeferredEffect e;
     e.kind = DeferredEffect::Kind::kFlowAborted;
     e.id = id;
-    engine_->log(part_.shard_of(flow_src_.at(id))).effects.push_back(e);
+    engine_->log(part_.shard_of(flow_src_.at(id))).defer(e);
     return;
   }
   finish_flow_abort(id);

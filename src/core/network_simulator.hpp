@@ -136,16 +136,17 @@ class NetworkSimulator {
   SimReport run();
 
   // --- scenario-engine verbs (sequenced by RunController) --------------
-  /// Admits the Table 1 workload and creates its sources. Idempotent, and
-  /// implied by run()/begin_run() — call it explicitly only to inspect or
-  /// adjust flows before the run starts. The parameterless overload
-  /// prepares the legacy single-phase workload; the Scenario overload
-  /// sizes sources for phase 0 (later phases retarget them mid-run).
+  /// Admits the Table 1 workload and creates its sources. Idempotent (the
+  /// first call wins), and implied by run()/begin_run() — call it
+  /// explicitly only to inspect or adjust flows before the run starts. The
+  /// parameterless overload prepares the legacy single-phase workload; the
+  /// Scenario overload sizes sources for phase 0 (later phases retarget
+  /// them mid-run).
   void prepare_workload();
   void prepare_workload(const Scenario& scn);
   /// Marks the run started (throws RunError when called twice) and
-  /// prepares the workload if prepare_workload() hasn't run yet.
-  void begin_run();
+  /// prepares `scn`'s workload if no prepare_workload() call came first.
+  void begin_run(const Scenario& scn);
   /// Starts every source; each keeps generating until `stop`.
   void start_sources(TimePoint stop);
   /// Arms the opt-in run services — fault injection, credit resync,
@@ -233,8 +234,7 @@ class NetworkSimulator {
   void build_topology();
   /// Partitions the fabric and builds the sharded engine, per-shard pools
   /// and metric relays (no-op when cfg.shards clamps to 1). Must run before
-  /// anything schedules an event: every calendar shares the engine-global
-  /// sequence counter from the first schedule on.
+  /// build_nodes: every node lives on the shard calendar it creates.
   void build_shards();
   void build_nodes();
   void build_channels();

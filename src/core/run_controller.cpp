@@ -18,7 +18,7 @@ RunController::RunController(NetworkSimulator& net, Scenario scenario)
 }
 
 ScenarioReport RunController::run() {
-  net_.begin_run();
+  net_.begin_run(scn_);
   Simulator& sim = net_.sim();
   const SimConfig& cfg = net_.config();
   MetricsCollector& metrics = net_.metrics();
@@ -59,7 +59,6 @@ ScenarioReport RunController::run() {
     metrics.set_phase_starts(std::move(starts));
   }
 
-  net_.prepare_workload(scn_);
   net_.start_sources(window_end_);
   net_.arm_run_services(horizon);
 

@@ -25,6 +25,7 @@ Host::Host(Simulator& sim, NodeId id, const HostParams& params, LocalClock clock
            PacketPool& pool)
     : sim_(sim),
       id_(id),
+      lane_(1 + id),
       params_(params),
       clock_(clock),
       pool_(pool),
@@ -43,6 +44,7 @@ Host::Host(Simulator& sim, NodeId id, const HostParams& params, LocalClock clock
 void Host::attach_uplink(Channel* to_switch) {
   DQOS_EXPECTS(to_switch != nullptr && uplink_ == nullptr);
   uplink_ = to_switch;
+  uplink_->set_sender_lane(&lane_);
   uplink_->set_on_credit(
       {[](void* ctx) { static_cast<Host*>(ctx)->pump(); }, this});
 }
@@ -50,6 +52,7 @@ void Host::attach_uplink(Channel* to_switch) {
 void Host::attach_downlink(Channel* from_switch) {
   DQOS_EXPECTS(from_switch != nullptr && downlink_ == nullptr);
   downlink_ = from_switch;
+  downlink_->set_receiver_lane(&lane_);
 }
 
 void Host::open_flow(const FlowSpec& spec) {
@@ -261,7 +264,8 @@ void Host::arm_retry(FlowId flow, std::uint32_t message_id, std::uint64_t bytes,
       (static_cast<std::uint64_t>(flow) << 32) | message_id;
   // Exponential backoff: timeout doubles with every unacked attempt.
   const Duration wait = Duration::picoseconds(retry_->timeout.ps() << attempt);
-  const EventId timer = sim_.schedule_after(wait, [this, key] { retry_timeout(key); });
+  const EventId timer =
+      sim_.schedule_after(wait, lane_, [this, key] { retry_timeout(key); });
   const bool inserted =
       pending_retry_.emplace(key, PendingRetry{bytes, attempt, timer}).second;
   DQOS_ASSERT(inserted);
@@ -404,7 +408,7 @@ bool Host::inject_from_vc(VcId vc, TimePoint now) {
   ++injected_;
   bytes_injected_ += wire;
   link_busy_until_ = now + ser;
-  sim_.schedule_after(ser, [this] { pump(); });
+  sim_.schedule_after(ser, lane_, [this] { pump(); });
   return true;
 }
 
@@ -416,7 +420,7 @@ void Host::schedule_eligible_wakeup() {
   if (eligible_wakeup_ != 0) sim_.cancel(eligible_wakeup_);
   const TimePoint at = max(global_wake, sim_.now());
   eligible_wakeup_at_ = global_wake;
-  eligible_wakeup_ = sim_.schedule_at(at, [this] {
+  eligible_wakeup_ = sim_.schedule_at(at, lane_, [this] {
     eligible_wakeup_ = 0;
     eligible_wakeup_at_ = TimePoint::max();
     pump();

@@ -174,6 +174,9 @@ class Host final : public PacketReceiver {
   void receive_packet(PacketPtr p, PortId in_port) override;
 
   [[nodiscard]] NodeId id() const { return id_; }
+  /// This node's event lane (DESIGN.md §12): the host, its traffic
+  /// sources and its channels' ends all schedule under it.
+  [[nodiscard]] EventLane& lane() { return lane_; }
   [[nodiscard]] const LocalClock& clock() const { return clock_; }
 
   // --- introspection / statistics ---
@@ -245,6 +248,7 @@ class Host final : public PacketReceiver {
 
   Simulator& sim_;
   NodeId id_;
+  EventLane lane_;  ///< entity 1 + id_: shared with sources and channels
   HostParams params_;
   LocalClock clock_;
   PacketPool& pool_;

@@ -20,6 +20,40 @@ struct Backoff {
   }
 };
 
+/// Feeds `fn` every record of the shards' `field` logs in (at_ps, order)
+/// order. Each shard's log is already in that order and no two shards share
+/// a tag, so a k-way merge of the log heads is the serial record order.
+template <typename Rec, typename Fn>
+void merge_logs(std::vector<ShardWindowLog>& logs,
+                std::vector<Rec> ShardWindowLog::*field,
+                std::vector<std::uint32_t>& cursor, Fn&& fn) {
+  const auto n = static_cast<std::uint32_t>(logs.size());
+  std::fill(cursor.begin(), cursor.end(), 0u);
+  for (;;) {
+    std::uint32_t best = n;
+    const Rec* head = nullptr;
+    for (std::uint32_t s = 0; s < n; ++s) {
+      const std::vector<Rec>& v = logs[s].*field;
+      if (cursor[s] >= v.size()) continue;
+      const Rec& r = v[cursor[s]];
+      if (head == nullptr || r.at_ps < head->at_ps ||
+          (r.at_ps == head->at_ps && r.order < head->order)) {
+        best = s;
+        head = &r;
+      }
+    }
+    if (head == nullptr) return;
+    ++cursor[best];
+    fn(*head);
+  }
+}
+
+/// Window-time fire hook of a shard calendar: appends a HookRecord.
+void record_fire(void* log, std::uint64_t key, TimePoint t) {
+  auto* l = static_cast<ShardWindowLog*>(log);
+  l->hooked.push_back(HookRecord{t.ps(), l->sim->merge_key(), key});
+}
+
 }  // namespace
 
 ShardExecutor::ShardExecutor(Simulator& control, std::uint32_t num_shards,
@@ -32,16 +66,12 @@ ShardExecutor::ShardExecutor(Simulator& control, std::uint32_t num_shards,
     sims_.push_back(std::make_unique<Simulator>());
   }
   logs_.resize(num_shards);
-  for (ShardWindowLog& log : logs_) {
-    log.outboxes.resize(num_shards);
-    log.reset(Simulator::kProvSeqBase);
+  for (std::uint32_t s = 0; s < num_shards; ++s) {
+    logs_[s].sim = sims_[s].get();
+    logs_[s].outboxes.resize(num_shards);
   }
   notes_.resize(num_shards);
   cursor_.assign(num_shards, 0);
-  control_.set_seq_source(&global_seq_);
-  for (const std::unique_ptr<Simulator>& sim : sims_) {
-    sim->set_seq_source(&global_seq_);
-  }
   if (use_threads) {
     workers_.reserve(num_shards - 1);
     for (std::uint32_t s = 1; s < num_shards; ++s) {
@@ -62,8 +92,7 @@ void ShardExecutor::set_fire_hook(Callback<void(std::uint64_t, TimePoint)> hook)
   hook_ = hook;
   // Serial instants run through Simulator::step_due, which emits the hook
   // itself — in true global order, since instants are single-threaded.
-  // Window drains bypass the hook (the merge replays it), so installing it
-  // on every calendar is safe.
+  // run_window swaps the shard calendars to record_fire for each window.
   control_.set_fire_hook(hook);
   for (const std::unique_ptr<Simulator>& sim : sims_) {
     sim->set_fire_hook(hook);
@@ -72,8 +101,8 @@ void ShardExecutor::set_fire_hook(Callback<void(std::uint64_t, TimePoint)> hook)
 
 std::int64_t ShardExecutor::peek_time(Simulator& sim) {
   std::int64_t tps = 0;
-  std::uint64_t seq = 0;
-  if (!sim.peek_next(tps, seq)) return std::numeric_limits<std::int64_t>::max();
+  std::uint64_t key = 0;
+  if (!sim.peek_next(tps, key)) return std::numeric_limits<std::int64_t>::max();
   return tps;
 }
 
@@ -96,9 +125,8 @@ std::size_t ShardExecutor::events_pending() const {
 void ShardExecutor::drain_shard(std::uint32_t s) {
   const TimePoint limit = TimePoint::from_ps(window_limit_ps_);
   Simulator& sim = *sims_[s];
-  ShardWindowLog& log = logs_[s];
   PacketPool::set_current_shard(static_cast<std::int32_t>(s));
-  while (sim.drain_window(limit, log)) {
+  while (sim.drain_due(limit)) {
   }
   PacketPool::set_current_shard(-1);
 }
@@ -120,8 +148,10 @@ void ShardExecutor::run_window(std::int64_t limit_ps) {
   ++windows_;
   ++window_id_;
   window_limit_ps_ = limit_ps;
-  for (std::uint32_t s = 0; s < num_shards(); ++s) {
-    sims_[s]->set_window_log(&logs_[s]);
+  if (hook_) {
+    for (std::uint32_t s = 0; s < num_shards(); ++s) {
+      sims_[s]->set_fire_hook({&record_fire, &logs_[s]});
+    }
   }
   window_active_ = true;
   if (workers_.empty()) {
@@ -135,80 +165,37 @@ void ShardExecutor::run_window(std::int64_t limit_ps) {
     arrived_.store(0, std::memory_order_relaxed);
   }
   window_active_ = false;
-  for (std::uint32_t s = 0; s < num_shards(); ++s) {
-    sims_[s]->set_window_log(nullptr);
+  if (hook_) {
+    for (const std::unique_ptr<Simulator>& sim : sims_) {
+      sim->set_fire_hook(hook_);
+    }
   }
   merge_and_transfer();
 }
 
 void ShardExecutor::merge_and_transfer() {
   const std::uint32_t n = num_shards();
-  std::fill(cursor_.begin(), cursor_.end(), 0u);
-  // K-way merge of the shards' fire logs by (time, key). Every record's key
-  // is final by the time it reaches the merge front: a provisionally-keyed
-  // record's parent fired earlier on the same shard (and thus merges
-  // first), and patching assigns its final key then.
-  for (;;) {
-    std::uint32_t best = n;
-    std::int64_t best_t = 0;
-    std::uint64_t best_k = 0;
-    for (std::uint32_t s = 0; s < n; ++s) {
-      if (cursor_[s] >= logs_[s].fires.size()) continue;
-      const ShardWindowLog::FireRec& r = logs_[s].fires[cursor_[s]];
-      if (best == n || r.time_ps < best_t ||
-          (r.time_ps == best_t && r.key < best_k)) {
-        best = s;
-        best_t = r.time_ps;
-        best_k = r.key;
-      }
-    }
-    if (best == n) break;
-    ShardWindowLog& log = logs_[best];
-    const ShardWindowLog::FireRec& r = log.fires[cursor_[best]++];
-    DQOS_ASSERT(r.key < Simulator::kProvSeqBase);
-    if (hook_) hook_(r.key, TimePoint::from_ps(r.time_ps));
-    for (std::uint32_t i = r.fx_begin; i < r.fx_end; ++i) {
-      effect_sink_(log.effects[i]);
-    }
-    for (std::uint32_t i = r.kid_begin; i < r.kid_end; ++i) {
-      const std::uint64_t kid = log.kids[i];
-      const std::uint64_t fin = global_seq_++;
-      if ((kid & ShardWindowLog::kMailboxBit) != 0) {
-        const auto dst = static_cast<std::uint32_t>((kid >> 32) & 0xffffu);
-        const auto idx = static_cast<std::uint32_t>(kid & 0xffffffffu);
-        log.outboxes[dst][idx].seq = fin;
-      } else {
-        DQOS_ASSERT(kid >= Simulator::kProvSeqBase);
-        const std::size_t pi =
-            static_cast<std::size_t>(kid - Simulator::kProvSeqBase);
-        const std::uint32_t fi = log.prov_fired[pi];
-        if (fi != 0) {
-          log.fires[fi - 1].key = fin;
-        } else {
-          // Still pending: patch the calendar entry in place. A stale
-          // handle means the event was cancelled inside the window — the
-          // serial run consumed the sequence number all the same.
-          static_cast<void>(sims_[best]->rekey(log.prov_ids[pi], fin));
-        }
-      }
-    }
+  if (hook_) {
+    merge_logs(logs_, &ShardWindowLog::hooked, cursor_,
+               [this](const HookRecord& r) {
+                 hook_(r.key, TimePoint::from_ps(r.at_ps));
+               });
   }
+  merge_logs(logs_, &ShardWindowLog::effects, cursor_,
+             [this](const DeferredEffect& e) { effect_sink_(e); });
   // Deliver mailboxes in deterministic (source, destination, index) order.
   // The lookahead guarantee: nothing lands at or before the window edge.
   for (std::uint32_t src = 0; src < n; ++src) {
     for (std::uint32_t dst = 0; dst < n; ++dst) {
       for (CrossMsg& m : logs_[src].outboxes[dst]) {
         DQOS_ASSERT(m.at_ps > window_limit_ps_);
-        DQOS_ASSERT(m.seq != 0);
         ++cross_msgs_;
         m.deliver(std::move(m));
       }
     }
   }
   if (barrier_hook_) barrier_hook_();
-  for (std::uint32_t s = 0; s < n; ++s) {
-    logs_[s].reset(Simulator::kProvSeqBase);
-  }
+  for (ShardWindowLog& log : logs_) log.reset();
 }
 
 void ShardExecutor::run_instant(std::int64_t t_ps) {
@@ -223,19 +210,19 @@ void ShardExecutor::run_instant(std::int64_t t_ps) {
     if (sim->now() < limit) sim->advance_to(limit);
   }
   // Interleave every calendar's events at this instant in global
-  // (time, seq) order — all keys are final outside windows, so the
-  // comparison is exact. New events scheduled at the same instant join the
-  // interleave via the re-peek.
+  // (time, entity, counter) order: always pop the smallest head key, as the
+  // serial calendar would. New events scheduled at the same instant join
+  // the interleave via the re-peek.
   for (;;) {
     Simulator* pick = nullptr;
-    std::uint64_t pick_seq = 0;
+    std::uint64_t pick_key = 0;
     const auto consider = [&](Simulator& sim) {
       std::int64_t tps = 0;
-      std::uint64_t seq = 0;
-      if (!sim.peek_next(tps, seq) || tps != t_ps) return;
-      if (pick == nullptr || seq < pick_seq) {
+      std::uint64_t key = 0;
+      if (!sim.peek_next(tps, key) || tps != t_ps) return;
+      if (pick == nullptr || key < pick_key) {
         pick = &sim;
-        pick_seq = seq;
+        pick_key = key;
       }
     };
     consider(control_);

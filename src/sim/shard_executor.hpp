@@ -17,18 +17,20 @@
 ///
 ///  - **Serial instants**: when the control calendar is due (T_ctrl <=
 ///    T_min), the engine executes *every* calendar's events at exactly
-///    that instant on one thread, interleaved in global (time, seq) order
-///    — control events may touch any shard's state, so the engine simply
-///    degenerates to the serial execution for that instant.
+///    that instant on one thread, interleaved in global (time, entity,
+///    counter) order — control events may touch any shard's state, so the
+///    engine simply degenerates to the serial execution for that instant.
 ///
-/// Bit-identical output: during windows shards assign provisional keys;
-/// at each window barrier the coordinator k-way-merges the shards' fire
-/// logs in global (time, key) order and replays the serial kernel's
-/// sequence assignment (see shard_link.hpp), emits the fire-hook stream,
-/// applies deferred side effects in merged order, stamps and delivers
-/// mailbox messages, and invokes a reconciliation hook for sender-owned
-/// accounting. The result of a run is byte-identical to the serial
-/// engine's at any shard count.
+/// Bit-identical output: every event key is (time, entity, counter), drawn
+/// from the scheduling entity's own lane, so a shard's calendar holds
+/// exactly the keys the serial calendar would, and each shard drains with
+/// the ordinary Simulator::drain_due. At each window barrier the
+/// coordinator merges the shards' hook records (only while a fire hook is
+/// installed) and deferred side effects by their (time, merge key) tags,
+/// delivers mailbox messages (already keyed by their senders), and invokes
+/// a reconciliation hook for sender-owned accounting. The result of a run
+/// is byte-identical to the serial engine's at any shard count
+/// (DESIGN.md §12).
 ///
 /// Threading: shard 0 is drained by the coordinating (calling) thread;
 /// shards 1..N-1 each get a persistent worker synchronized by an
@@ -83,15 +85,15 @@ class ShardExecutor {
   [[nodiscard]] std::uint64_t window_id() const { return window_id_; }
 
   /// Golden fire-order hook: receives exactly the serial engine's
-  /// (seq, time) stream — emitted live at serial instants, replayed at the
-  /// barrier merge for window events.
+  /// (key, time) stream — emitted live at serial instants, recorded per
+  /// shard during windows and replayed in merged order at the barrier.
   void set_fire_hook(Callback<void(std::uint64_t, TimePoint)> hook);
-  /// Applies one deferred side effect (metrics record, flow abort) during
-  /// the merge replay. Installed by the network layer.
+  /// Applies one deferred side effect (metrics record, flow abort) at the
+  /// barrier, in merged order. Installed by the network layer.
   void set_effect_sink(Callback<void(const DeferredEffect&)> sink) {
     effect_sink_ = sink;
   }
-  /// Runs after every barrier's merge + mailbox delivery, while all
+  /// Runs after every barrier's effects + mailbox delivery, while all
   /// workers are parked: the network layer reconciles sender-owned wire
   /// accounting and drains cross-shard pool-free lanes here.
   void set_barrier_hook(Callback<void()> hook) { barrier_hook_ = hook; }
@@ -111,13 +113,6 @@ class ShardExecutor {
   [[nodiscard]] std::int64_t lookahead_ps() const { return lookahead_ps_; }
   [[nodiscard]] bool threaded() const { return !workers_.empty(); }
 
-  /// The engine-global serial sequence counter. The network layer points
-  /// every Simulator (control + shards) at this source so construction,
-  /// workload setup and serial instants consume exactly the serial run's
-  /// sequence numbers; the barrier merge draws kids' final numbers from the
-  /// same counter.
-  [[nodiscard]] std::uint64_t* global_seq_source() { return &global_seq_; }
-
  private:
   static std::int64_t peek_time(Simulator& sim);
   void run_window(std::int64_t limit_ps);
@@ -132,7 +127,6 @@ class ShardExecutor {
   std::vector<std::vector<CrossArrivalNote>> notes_;
   std::vector<std::uint32_t> cursor_;  ///< merge cursors (scratch)
   std::int64_t lookahead_ps_;
-  std::uint64_t global_seq_ = 1;
 
   Callback<void(std::uint64_t, TimePoint)> hook_;
   Callback<void(const DeferredEffect&)> effect_sink_;

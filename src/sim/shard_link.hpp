@@ -1,41 +1,40 @@
 /// \file shard_link.hpp
 /// Shared data types linking one shard's Simulator to the sharded
 /// conservative engine (shard_executor.hpp): the per-window log a shard
-/// records while draining, the cross-shard mailbox message, and the
-/// deferred side-effect record.
+/// fills while draining, the cross-shard mailbox message, and the deferred
+/// side-effect record.
 ///
-/// The parallel engine reproduces the serial engine's output bit-for-bit
-/// (DESIGN.md §12). The mechanism: during a time window every shard
-/// assigns *provisional* sequence numbers (kProvSeqBase | n) to the events
-/// it schedules, and logs — per fired event, in call order — every
-/// schedule it performed (its "kids"). At the window barrier a coordinator
-/// k-way-merges the shards' fire logs in global (time, key) order and
-/// replays the serial kernel's sequence assignment: walking fired events
-/// in exactly the order the serial kernel would have fired them, it hands
-/// each kid the next global sequence number, patching pending calendar
-/// entries (Simulator::rekey), later fire records, and mailbox messages.
-/// The result is that every event carries the exact sequence number the
-/// serial run would have given it, so the (time, seq) fire order — and the
-/// golden fire-order hash — are byte-identical at any shard count.
+/// Every event's key is (time, entity, counter), drawn from the scheduling
+/// entity's own EventLane (simulator.hpp), so a key never depends on how
+/// the run is sharded: a shard drains its calendar with the ordinary
+/// drain_due, and a mailbox message carries the final key its sender drew
+/// when posting it. What a window still has to hand to the barrier are the
+/// writes against shared state whose *order* matters — deferred metric and
+/// flow-abort effects, and fire-hook records while a hook is installed.
+/// Each is tagged with its firing event's (time, merge key) (see
+/// Simulator::merge_key), and the barrier merges the shards' logs by that
+/// tag, which is exactly the serial kernel's global pop order (DESIGN.md
+/// §12). The work is O(records), never O(events).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "proto/packet_pool.hpp"
+#include "sim/simulator.hpp"
 #include "util/time.hpp"
 
 namespace dqos {
 
 /// A cross-shard event in transit: posted by a sender-shard component
-/// (Channel) during a window, sequence-stamped by the coordinator during
-/// the barrier merge, then delivered (scheduled onto the destination
-/// shard's calendar) by `deliver`. The conservative lookahead contract:
-/// `at_ps` is at least one full lookahead after the instant the message
-/// was posted, so it can never land inside the window that produced it.
+/// (Channel) during a window, then delivered (scheduled onto the
+/// destination shard's calendar under `key`) by `deliver` at the barrier.
+/// The conservative lookahead contract: `at_ps` is at least one full
+/// lookahead after the instant the message was posted, so it can never
+/// land inside the window that produced it.
 struct CrossMsg {
   std::int64_t at_ps = 0;
-  std::uint64_t seq = 0;       ///< final serial seq, stamped at the merge
+  std::uint64_t key = 0;       ///< final key, drawn from the poster's lane
   std::uint32_t bytes = 0;     ///< payload size / credit bytes (foldable)
   std::uint8_t vc = 0;
   std::uint8_t kind = 0;       ///< producer-private discriminator
@@ -49,8 +48,8 @@ struct CrossMsg {
 /// A side effect recorded during a window instead of being applied:
 /// order-sensitive writes against shared state (the MetricsCollector's
 /// reservoirs and streaming accumulators, admission-ledger releases). The
-/// coordinator replays effects in merged global fire order, so shared
-/// state sees exactly the serial call sequence.
+/// coordinator applies effects in (at_ps, order) order, so shared state
+/// sees exactly the serial call sequence.
 struct DeferredEffect {
   enum class Kind : std::uint8_t {
     kPacketDelivered,
@@ -67,54 +66,42 @@ struct DeferredEffect {
   std::int64_t t_now_ps = 0;
   std::int64_t slack_ps = 0;
   std::uint64_t id = 0;  ///< flow id / message bytes, kind-dependent
+  /// Merge tag, stamped by ShardWindowLog::defer: the firing event's time
+  /// and merge key.
+  std::int64_t at_ps = 0;
+  std::uint64_t order = 0;
+};
+
+/// One fired event, recorded for the fire hook during a window (only while
+/// a hook is installed) and replayed to it in merged order at the barrier.
+struct HookRecord {
+  std::int64_t at_ps;
+  std::uint64_t order;  ///< merge key (the merge tag, with at_ps)
+  std::uint64_t key;    ///< the event's own key (what the hook receives)
 };
 
 /// Everything one shard records during one window. Owned by the engine,
-/// wired into the shard's Simulator (set_window_log) for the duration of
-/// the window, reset at every barrier.
+/// reset at every barrier.
 struct ShardWindowLog {
-  /// Kid-reference encoding (one uint64 per schedule call, in call order):
-  /// either a provisional sequence number (bit 62 set, assigned by the
-  /// local calendar) or a mailbox reference (bit 63 set, destination shard
-  /// in bits 32..47, message index in the low 32 bits).
-  static constexpr std::uint64_t kMailboxBit = 1ULL << 63;
-  static std::uint64_t mailbox_ref(std::uint32_t dst_shard, std::size_t idx) {
-    return kMailboxBit | (static_cast<std::uint64_t>(dst_shard) << 32) |
-           static_cast<std::uint64_t>(idx);
-  }
-
-  /// One fired event: its fire key (provisional or final; patched to final
-  /// before the merge ever reads it) plus the half-open ranges of kids and
-  /// effects it produced.
-  struct FireRec {
-    std::int64_t time_ps;
-    std::uint64_t key;
-    std::uint32_t kid_begin, kid_end;
-    std::uint32_t fx_begin, fx_end;
-  };
-
-  std::vector<FireRec> fires;
-  std::vector<std::uint64_t> kids;
+  /// The shard's calendar: source of the merge tag of every record.
+  const Simulator* sim = nullptr;
   std::vector<DeferredEffect> effects;
-  /// Provisional index -> the event's handle (for rekeying still-pending
-  /// events) and, when it fired inside the same window, 1 + its index in
-  /// `fires` (for patching the fire record instead).
-  std::vector<std::uint64_t> prov_ids;
-  std::vector<std::uint32_t> prov_fired;
-  /// The shard's sequence source during a window: restarts at kProvSeqBase
-  /// each window, so provisional keys order after every final sequence
-  /// number and encode their own registry index (seq - kProvSeqBase).
-  std::uint64_t window_seq = 0;
+  std::vector<HookRecord> hooked;
   /// Outboxes, one per destination shard (index = destination).
   std::vector<std::vector<CrossMsg>> outboxes;
 
-  void reset(std::uint64_t prov_base) {
-    fires.clear();
-    kids.clear();
+  /// Records `e` tagged with the firing event's (time, merge key). Log
+  /// capacity is retained across windows (reset() clears, never shrinks),
+  /// so steady-state appends are allocation-free.
+  void defer(DeferredEffect e) {
+    e.at_ps = sim->now().ps();
+    e.order = sim->merge_key();
+    effects.push_back(e);
+  }
+
+  void reset() {
     effects.clear();
-    prov_ids.clear();
-    prov_fired.clear();
-    window_seq = prov_base;
+    hooked.clear();
     for (auto& box : outboxes) box.clear();
   }
 };

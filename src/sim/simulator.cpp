@@ -1,17 +1,16 @@
 // The calendar is the event store: slot, FIFO, and tier growth in this
 // file is amortized doubling over arrays the steady state never shrinks,
-// reviewed as a whole. Hot callers (drain_window, try_fill) still keep
-// their own bodies allocation-free.
+// reviewed as a whole. Hot callers (drain_due, try_fill) still keep their
+// own bodies allocation-free.
 // dqos-lint: allow-file(hot-path-transitive)
 #include "sim/simulator.hpp"
 
 #include <algorithm>
 
-#include "sim/shard_link.hpp"
-
 namespace dqos {
 
-EventId Simulator::schedule_at(TimePoint t, InlineTask&& fn) {
+EventId Simulator::schedule_at(TimePoint t, std::uint64_t key,
+                               InlineTask&& fn) {
   DQOS_EXPECTS(t >= now_);
   DQOS_EXPECTS(static_cast<bool>(fn));
   std::uint32_t slot;
@@ -26,100 +25,10 @@ EventId Simulator::schedule_at(TimePoint t, InlineTask&& fn) {
   s.fn = std::move(fn);
   s.live = true;
   s.time_ps = t.ps();
-  const std::uint64_t seq = (*seq_src_)++;
-  s.seq = seq;
-  push_entry(CalEntry{t, seq, slot});
-  ++live_;
-  const EventId id = make_id(s.gen, slot);
-  if (wlog_ != nullptr) {
-    // Window mode: this schedule is a kid of the currently-firing event.
-    // The provisional key doubles as the registry index.
-    DQOS_ASSERT(seq >= kProvSeqBase);
-    wlog_->kids.push_back(seq);
-    wlog_->prov_ids.push_back(id);
-    wlog_->prov_fired.push_back(0);
-  }
-  return id;
-}
-
-EventId Simulator::schedule_keyed(TimePoint t, std::uint64_t seq,
-                                  InlineTask&& fn) {
-  DQOS_EXPECTS(t >= now_);
-  DQOS_EXPECTS(static_cast<bool>(fn));
-  std::uint32_t slot;
-  if (free_slots_.empty()) {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  }
-  Slot& s = slots_[slot];
-  s.fn = std::move(fn);
-  s.live = true;
-  s.time_ps = t.ps();
-  s.seq = seq;
-  push_entry(CalEntry{t, seq, slot});
+  s.key = key;
+  push_entry(CalEntry{t, key, slot});
   ++live_;
   return make_id(s.gen, slot);
-}
-
-void Simulator::set_seq_source(std::uint64_t* src) {
-  ext_seq_ = src;
-  if (wlog_ == nullptr) seq_src_ = src != nullptr ? src : &next_seq_;
-}
-
-void Simulator::set_window_log(ShardWindowLog* log) {
-  wlog_ = log;
-  if (log != nullptr) {
-    seq_src_ = &log->window_seq;
-  } else {
-    seq_src_ = ext_seq_ != nullptr ? ext_seq_ : &next_seq_;
-  }
-}
-
-bool Simulator::rekey(EventId id, std::uint64_t new_seq) {
-  const auto slot = static_cast<std::uint32_t>(id & 0xffffffffULL);
-  const auto gen = static_cast<std::uint32_t>(id >> 32);
-  if (slot >= slots_.size()) return false;
-  Slot& s = slots_[slot];
-  if (!s.live || s.gen != gen) return false;
-  if (s.time_ps < bottom_end_ps_) {
-    // Harvested into the sorted bottom rung: locate by the old key and
-    // update in place. Order is preserved — the merge assigns final keys in
-    // the rung's own (time, provisional) order, and every final assigned
-    // this window exceeds every pre-window final still pending.
-    const CalEntry key{TimePoint::from_ps(s.time_ps), s.seq, slot};
-    const auto it = std::lower_bound(
-        bottom_.begin() + static_cast<std::ptrdiff_t>(bottom_idx_),
-        bottom_.end(), key, Earlier{});
-    DQOS_ASSERT(it != bottom_.end() && it->seq == key.seq && it->slot == slot);
-    it->seq = new_seq;
-    DQOS_ASSERT(it == bottom_.begin() +
-                          static_cast<std::ptrdiff_t>(bottom_idx_) ||
-                earlier(*(it - 1), *it));
-    DQOS_ASSERT(it + 1 == bottom_.end() || earlier(*it, *(it + 1)));
-  } else {
-    // Still in an (unsorted) bucket: a live slot has exactly one entry, so
-    // matching the slot index suffices. Buckets hold roughly a bucket-year
-    // of events by design, so the scan is short.
-    std::vector<CalEntry>& vec =
-        buckets_[static_cast<std::size_t>(s.time_ps >> width_shift_) &
-                 bucket_mask_];
-    bool found = false;
-    for (CalEntry& e : vec) {
-      if (e.slot == slot) {
-        DQOS_ASSERT(e.seq == s.seq);
-        e.seq = new_seq;
-        found = true;
-        break;
-      }
-    }
-    DQOS_ASSERT(found);
-    static_cast<void>(found);
-  }
-  s.seq = new_seq;
-  return true;
 }
 
 void Simulator::cancel(EventId id) {
@@ -136,15 +45,15 @@ void Simulator::cancel(EventId id) {
   if (s.time_ps < bottom_end_ps_) {
     // Already harvested into the bottom rung: every pending entry with
     // time < bottom_end_ps_ lives in bottom_[bottom_idx_..), sorted by
-    // (time, seq). Binary-search the exact entry and blank its slot index
+    // (time, key). Binary-search the exact entry and blank its slot index
     // in place — no linear scan, and the slot recycles immediately. The
     // blank entry keeps its key so the rung stays sorted; the drain skips
     // it without a slot-table load.
-    const CalEntry key{TimePoint::from_ps(s.time_ps), s.seq, slot};
+    const CalEntry key{TimePoint::from_ps(s.time_ps), s.key, slot};
     const auto it = std::lower_bound(
         bottom_.begin() + static_cast<std::ptrdiff_t>(bottom_idx_),
         bottom_.end(), key, Earlier{});
-    DQOS_ASSERT(it != bottom_.end() && it->seq == key.seq && it->slot == slot);
+    DQOS_ASSERT(it != bottom_.end() && it->key == key.key && it->slot == slot);
     it->slot = kTombstoneSlot;
     free_slot(slot);
     return;
@@ -354,7 +263,7 @@ void Simulator::free_slot(std::uint32_t slot) {
   free_slots_.push_back(slot);
 }
 
-bool Simulator::pop_next(TimePoint limit, TimePoint& t, std::uint64_t& seq,
+bool Simulator::pop_next(TimePoint limit, TimePoint& t, std::uint64_t& key,
                          InlineTask& fn) {
   while (true) {
     if (bottom_idx_ >= bottom_.size() && !refill_bottom()) return false;
@@ -374,7 +283,7 @@ bool Simulator::pop_next(TimePoint limit, TimePoint& t, std::uint64_t& seq,
     Slot& s = slots_[head.slot];
     DQOS_ASSERT(s.live);
     t = head.time;
-    seq = head.seq;
+    key = head.key;
     fn = std::move(s.fn);
     free_slot(head.slot);
     --live_;
@@ -384,18 +293,15 @@ bool Simulator::pop_next(TimePoint limit, TimePoint& t, std::uint64_t& seq,
 
 bool Simulator::step() {
   TimePoint t;
-  std::uint64_t seq = 0;
+  std::uint64_t key = 0;
   InlineTask fn;
-  if (!pop_next(TimePoint::max(), t, seq, fn)) return false;
-  DQOS_ASSERT(t >= now_);
-  now_ = t;
-  ++fired_;
-  if (fire_hook_) fire_hook_(seq, t);
+  if (!pop_next(TimePoint::max(), t, key, fn)) return false;
+  begin_fire(t, key);
   fn();
   return true;
 }
 
-bool Simulator::peek_next(std::int64_t& time_ps, std::uint64_t& seq) {
+bool Simulator::peek_next(std::int64_t& time_ps, std::uint64_t& key) {
   while (true) {
     if (bottom_idx_ >= bottom_.size() && !refill_bottom()) return false;
     const CalEntry head = bottom_[bottom_idx_];
@@ -405,76 +311,19 @@ bool Simulator::peek_next(std::int64_t& time_ps, std::uint64_t& seq) {
       continue;
     }
     time_ps = head.time.ps();
-    seq = head.seq;
+    key = head.key;
     return true;
   }
 }
 
 bool Simulator::step_due(TimePoint limit) {
   TimePoint t;
-  std::uint64_t seq = 0;
+  std::uint64_t key = 0;
   InlineTask fn;
-  if (!pop_next(limit, t, seq, fn)) return false;
-  DQOS_ASSERT(t >= now_);
-  now_ = t;
-  ++fired_;
-  if (fire_hook_) fire_hook_(seq, t);
+  if (!pop_next(limit, t, key, fn)) return false;
+  begin_fire(t, key);
   fn();
   return true;
-}
-
-// dqos-lint: hot
-bool Simulator::drain_window(TimePoint limit, ShardWindowLog& log) {
-  DQOS_ASSERT(wlog_ == &log);
-  if (bottom_idx_ >= bottom_.size() && !refill_bottom()) return false;
-  const bool whole_window_due = bottom_end_ps_ <= limit.ps();
-  while (bottom_idx_ < bottom_.size()) {
-    const CalEntry head = bottom_[bottom_idx_];
-    if (head.slot == kTombstoneSlot) {  // cancelled in place — bulk skip
-      ++bottom_idx_;
-      --entries_;
-      continue;
-    }
-    if (!whole_window_due && head.time > limit) return false;
-    ++bottom_idx_;
-    --entries_;
-    ++pops_since_rebuild_;
-    Slot& s = slots_[head.slot];
-    DQOS_ASSERT(s.live);
-    InlineTask fn = std::move(s.fn);
-    free_slot(head.slot);
-    --live_;
-    DQOS_ASSERT(head.time >= now_);
-    now_ = head.time;
-    ++fired_;
-    // No fire hook here: the engine replays the hook stream at the barrier
-    // merge, in global order, once every key is final.
-    if (head.seq >= kProvSeqBase) {
-      log.prov_fired[head.seq - kProvSeqBase] =
-          static_cast<std::uint32_t>(log.fires.size()) + 1;
-    }
-    ShardWindowLog::FireRec rec;
-    rec.time_ps = head.time.ps();
-    rec.key = head.seq;
-    rec.kid_begin = static_cast<std::uint32_t>(log.kids.size());
-    rec.kid_end = rec.kid_begin;
-    rec.fx_begin = static_cast<std::uint32_t>(log.effects.size());
-    rec.fx_end = rec.fx_begin;
-    const std::size_t rec_idx = log.fires.size();
-    // Log capacity is retained across windows (reset() clears, never
-    // shrinks), so steady-state appends are allocation-free.
-    log.fires.push_back(rec);  // dqos-lint: allow(hot-path-alloc)
-    fn();
-    // Nothing else appends to `fires` while the closure runs, so the
-    // record's index is stable even though the vector may have grown.
-    log.fires[rec_idx].kid_end = static_cast<std::uint32_t>(log.kids.size());
-    log.fires[rec_idx].fx_end = static_cast<std::uint32_t>(log.effects.size());
-  }
-  if (pops_since_rebuild_ >= kRebuildPeriod ||
-      (buckets_.size() > kMinBuckets && entries_ < buckets_.size() / 8)) {
-    rebuild();
-  }
-  return entries_ != 0;
 }
 
 // dqos-lint: hot
@@ -504,15 +353,12 @@ bool Simulator::drain_due(TimePoint limit) {
     InlineTask fn = std::move(s.fn);
     free_slot(head.slot);
     --live_;
-    DQOS_ASSERT(head.time >= now_);
-    now_ = head.time;
-    ++fired_;
-    if (fire_hook_) fire_hook_(head.seq, head.time);
+    begin_fire(head.time, head.key);
     fn();
   }
   // Batch-boundary maintenance: the single-step path runs these checks per
   // pop; batching amortizes them. Rebuild timing only affects bucket
-  // geometry, never the (time, seq) fire order.
+  // geometry, never the (time, key) fire order.
   if (pops_since_rebuild_ >= kRebuildPeriod ||
       (buckets_.size() > kMinBuckets && entries_ < buckets_.size() / 8)) {
     rebuild();

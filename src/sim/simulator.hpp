@@ -2,10 +2,17 @@
 /// Discrete-event simulation kernel.
 ///
 /// A single-threaded event calendar: components schedule closures at
-/// absolute instants; the kernel fires them in (time, insertion-sequence)
-/// order. The sequence tie-break makes runs bit-for-bit deterministic —
-/// two events at the same instant always fire in the order they were
-/// scheduled, independent of heap internals.
+/// absolute instants; the kernel fires them in (time, entity, counter)
+/// order (DESIGN.md §12). Every event carries a 64-bit key drawn from an
+/// EventLane — the scheduling entity's id in the top 24 bits over that
+/// entity's own 40-bit schedule counter. Entity 0 is the control plane and
+/// stand-alone use (plain schedule_at); every host and switch schedules
+/// under its own lane (entity 1 + NodeId). Keys are unique, so runs are
+/// bit-for-bit deterministic independent of heap internals, and two events
+/// of one lane at the same instant fire in the order they were scheduled.
+/// A key depends only on its entity's own history, which is what lets the
+/// sharded engine (shard_executor.hpp) reproduce the serial order without
+/// any cross-shard bookkeeping.
 ///
 /// The kernel is deliberately minimal (Core Guidelines P.11: encapsulate
 /// the messy construct once): no process abstraction, no channels — the
@@ -51,7 +58,34 @@ namespace dqos {
 /// never a valid handle (components use 0 as "no event armed").
 using EventId = std::uint64_t;
 
-struct ShardWindowLog;
+/// One entity's source of event keys: (entity << 40) | counter, the
+/// counter starting at 1. A lane is touched only by its entity's own code —
+/// on its shard, or at a serial instant — so its keys never depend on how
+/// the run is sharded.
+class EventLane {
+ public:
+  static constexpr unsigned kCounterBits = 40;
+  static constexpr std::uint64_t kCounterMask = (1ULL << kCounterBits) - 1;
+  /// Largest entity the 24-bit field holds (SimConfig::check refuses
+  /// topologies whose 1 + NodeId would exceed it).
+  static constexpr std::uint32_t kMaxEntity = (1u << (64 - kCounterBits)) - 1;
+
+  explicit EventLane(std::uint32_t entity = 0)
+      : next_((static_cast<std::uint64_t>(entity) << kCounterBits) | 1) {
+    DQOS_EXPECTS(entity <= kMaxEntity);
+  }
+
+  /// The next key of this lane. Asserts instead of carrying into the entity
+  /// field when the 40-bit counter is exhausted.
+  std::uint64_t take() {
+    const std::uint64_t key = next_++;
+    DQOS_ASSERT((next_ & kCounterMask) != 0);
+    return key;
+  }
+
+ private:
+  std::uint64_t next_;
+};
 
 class Simulator {
  public:
@@ -62,23 +96,40 @@ class Simulator {
   /// Current simulated instant (global clock).
   [[nodiscard]] TimePoint now() const { return now_; }
 
-  /// Schedules `fn` at absolute time `t`. `t` must not be in the past.
-  /// Rvalue-reference (not by-value) on purpose: the closure is built once
-  /// at the call site and relocated exactly once, into the slot table.
-  EventId schedule_at(TimePoint t, InlineTask&& fn);
+  /// Schedules `fn` at absolute time `t` under `lane`'s next key. `t` must
+  /// not be in the past. Rvalue-reference (not by-value) on purpose: the
+  /// closure is built once at the call site and relocated exactly once,
+  /// into the slot table.
+  EventId schedule_at(TimePoint t, EventLane& lane, InlineTask&& fn) {
+    return schedule_at(t, lane.take(), std::move(fn));
+  }
+  /// Entity 0: control-plane and stand-alone scheduling.
+  EventId schedule_at(TimePoint t, InlineTask&& fn) {
+    return schedule_at(t, lane0_, std::move(fn));
+  }
+  /// Schedules under a key already drawn from a lane (a cross-shard
+  /// mailbox message carries the key its sender drew when posting it).
+  EventId schedule_at(TimePoint t, std::uint64_t key, InlineTask&& fn);
 
   /// Schedules `fn` after a non-negative delay from now.
-  EventId schedule_after(Duration d, InlineTask&& fn) {
+  EventId schedule_after(Duration d, EventLane& lane, InlineTask&& fn) {
     DQOS_EXPECTS(d >= Duration::zero());
-    return schedule_at(now_ + d, std::move(fn));
+    return schedule_at(now_ + d, lane, std::move(fn));
   }
+  EventId schedule_after(Duration d, InlineTask&& fn) {
+    return schedule_after(d, lane0_, std::move(fn));
+  }
+
+  /// This calendar's entity-0 lane (components not wired to a node lane,
+  /// e.g. a channel in a unit test, schedule under it).
+  [[nodiscard]] EventLane& default_lane() { return lane0_; }
 
   /// Cancels a pending event. Cancelling an already-fired or unknown id is
   /// a no-op (the generation tag in the handle goes stale when the slot is
   /// reused). The closure is destroyed immediately. An entry still in a
   /// bucket is reclaimed lazily — in bulk, when the harvest sweep or a ring
   /// rebuild reaches it; an entry already harvested into the sorted bottom
-  /// rung is located by (time, seq) binary search and blanked in place (no
+  /// rung is located by (time, key) binary search and blanked in place (no
   /// linear scan), recycling its slot immediately. Either way, repeated
   /// cancellation in a long run cannot grow memory without bound.
   void cancel(EventId id);
@@ -94,11 +145,12 @@ class Simulator {
   /// Batch drain (DESIGN.md §11): fires every event due at or before
   /// `limit` out of the current bottom-rung window in one pass, skipping
   /// in-place tombstones in bulk and deferring the ring-maintenance checks
-  /// to the batch boundary. Exactly the (time, seq) order of repeated
-  /// step() calls — the rung is sorted, closures scheduled from inside the
-  /// batch splice into it at their sorted position, and rebuild timing
-  /// never affects fire order. Returns false when nothing at or before
-  /// `limit` remains; run()/run_until() are loops over this.
+  /// to the batch boundary. Exactly the pop order of repeated step() calls
+  /// — the rung is sorted, closures scheduled from inside the batch splice
+  /// into it at their sorted position, and rebuild timing never affects
+  /// fire order. Returns false when nothing at or before `limit` remains;
+  /// run()/run_until() and the sharded engine's window drains are loops
+  /// over this.
   bool drain_due(TimePoint limit);
 
   /// Convenience: run_until(now + d).
@@ -108,11 +160,10 @@ class Simulator {
   void run();
 
   /// Test/diagnostic instrumentation: called after the clock advances and
-  /// before each event's closure runs, with the event's scheduling sequence
-  /// number (FIFO tie-break key; assigned 1, 2, 3, … in schedule order) and
-  /// fire time. The golden-determinism test hashes this stream; keep the
-  /// (seq, time) contract stable across kernel implementations. The hook is
-  /// a raw Callback (fn-pointer + context) so instrumented builds stay
+  /// before each event's closure runs, with the event's key and fire time.
+  /// The golden-determinism test hashes this stream; keep the (key, time)
+  /// contract stable across kernel implementations. The hook is a raw
+  /// Callback (fn-pointer + context) so instrumented builds stay
   /// type-erasure-free on the hot path; the context must outlive the run.
   void set_fire_hook(Callback<void(std::uint64_t, TimePoint)> hook) {
     fire_hook_ = hook;
@@ -126,58 +177,23 @@ class Simulator {
   [[nodiscard]] std::size_t cancelled_pending() const { return tombstones_; }
 
   // --- Sharded-execution support (DESIGN.md §12) -------------------------
-  //
-  // The sharded conservative engine (shard_executor.hpp) runs one Simulator
-  // per shard and reconstructs the serial engine's global sequence numbers
-  // at window barriers. These hooks exist for that engine; a stand-alone
-  // Simulator never needs them and pays one predictable branch plus one
-  // pointer indirection on the schedule path for their existence.
 
-  /// Provisional sequence numbers assigned during a shard window start
-  /// here: above every final sequence a run can produce, so provisional
-  /// keys order after finals at the same instant and encode their own
-  /// registry index (seq - kProvSeqBase).
-  static constexpr std::uint64_t kProvSeqBase = 1ULL << 62;
+  /// The merge key of the event now firing: the largest key this calendar
+  /// has fired at the current instant. Keys fire in ascending order except
+  /// when a zero-delay child lands under a lower entity than its parent;
+  /// the running maximum stays ascending regardless, and ordering records
+  /// by (time, merge key) reproduces the global pop order across shards.
+  [[nodiscard]] std::uint64_t merge_key() const { return merge_key_; }
 
-  /// Redirects sequence assignment to an external counter (the engine's
-  /// shared global counter during serially-executed stretches), or back to
-  /// the internal one (nullptr). A window log, when set, takes precedence.
-  void set_seq_source(std::uint64_t* src);
-
-  /// Enters (non-null) or leaves (null) window mode: sequence numbers come
-  /// from the log's provisional counter and every schedule call is recorded
-  /// as a kid of the currently-firing event. Only the sharded engine calls
-  /// this.
-  void set_window_log(ShardWindowLog* log);
-
-  /// Schedules with a caller-chosen sequence number (a cross-shard arrival
-  /// carrying its merge-assigned final seq). Bypasses kid logging.
-  EventId schedule_keyed(TimePoint t, std::uint64_t seq, InlineTask&& fn);
-
-  /// Replaces a pending event's sequence number in place (provisional ->
-  /// final, at the barrier merge). The handle, slot and closure are
-  /// untouched, so component-held EventIds stay valid. Returns false for a
-  /// stale handle (the event fired or was cancelled meanwhile) — a no-op,
-  /// matching the serial run where the sequence was consumed regardless.
-  /// Precondition (asserted): the new key preserves calendar order, which
-  /// the merge guarantees by assigning finals in fire order.
-  bool rekey(EventId id, std::uint64_t new_seq);
-
-  /// Peeks the earliest pending event's (time, seq) without extracting it.
+  /// Peeks the earliest pending event's (time, key) without extracting it.
   /// Returns false when the calendar is empty. May harvest buckets into the
   /// bottom rung (amortized; identical to what the next pop would do).
-  bool peek_next(std::int64_t& time_ps, std::uint64_t& seq);
+  bool peek_next(std::int64_t& time_ps, std::uint64_t& key);
 
   /// Fires the next event only if it is due at or before `limit`. The
   /// engine uses this to interleave several calendars at one instant in
-  /// global (time, seq) order.
+  /// global (time, key) order.
   bool step_due(TimePoint limit);
-
-  /// Window-mode batch drain: like drain_due, but records a FireRec (fire
-  /// key + kid/effect ranges) per event into `log` and does NOT invoke the
-  /// fire hook — the engine emits the hook stream at the barrier merge,
-  /// once keys are final. Requires set_window_log(&log) to be in effect.
-  bool drain_window(TimePoint limit, ShardWindowLog& log);
 
   /// Advances the clock without firing anything (the engine aligns every
   /// shard's clock to the run horizon once all calendars are past it).
@@ -195,24 +211,24 @@ class Simulator {
     /// Copy of the entry's ordering key, written at schedule time: cancel()
     /// uses `time_ps < bottom_end_ps_` to decide whether the entry already
     /// sits in the (sorted) bottom rung and, if so, binary-searches it by
-    /// (time, seq) instead of scanning.
+    /// (time, key) instead of scanning.
     std::int64_t time_ps = 0;
-    std::uint64_t seq = 0;
+    std::uint64_t key = 0;
     std::uint32_t gen = 1;
     bool live = false;       ///< scheduled, not fired, not cancelled
     bool cancelled = false;  ///< tombstoned, awaiting lazy bucket removal
   };
 
   /// A bucket entry: 24 bytes, trivially movable, holds the full
-  /// (time, seq) ordering key so bucket scans never touch the slot table.
+  /// (time, key) ordering pair so bucket scans never touch the slot table.
   struct CalEntry {
     TimePoint time;
-    std::uint64_t seq;
+    std::uint64_t key;
     std::uint32_t slot;
   };
 
   /// Bottom-rung tombstone sentinel: cancel() of an already-harvested
-  /// entry blanks the entry's slot index in place (the (time, seq) key is
+  /// entry blanks the entry's slot index in place (the (time, key) key is
   /// kept so the rung stays sorted); the drain skips such entries without
   /// loading the slot table, and the slot itself recycles immediately.
   static constexpr std::uint32_t kTombstoneSlot = 0xffffffffu;
@@ -229,12 +245,13 @@ class Simulator {
     return (static_cast<EventId>(gen) << 32) | slot;
   }
 
-  /// Strict total order of the calendar: earliest time first, FIFO among
-  /// simultaneous events. Implementation-independent — any structure that
-  /// pops in this order reproduces the golden fire sequence bit-for-bit.
+  /// Strict total order of the calendar: earliest time first, then key
+  /// (entity, then the entity's schedule order). Implementation-independent
+  /// — any structure that pops in this order reproduces the golden fire
+  /// sequence bit-for-bit.
   static bool earlier(const CalEntry& a, const CalEntry& b) {
     if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
+    return a.key < b.key;
   }
   /// Function-object form for the sort/lower_bound call sites: a stateless
   /// functor inlines per comparison where a function pointer compiles to an
@@ -266,17 +283,25 @@ class Simulator {
   /// is empty or the earliest live entry is after `limit` (nothing is
   /// extracted in that case). On success the slot is already recycled and
   /// the closure moved to `fn`.
-  bool pop_next(TimePoint limit, TimePoint& t, std::uint64_t& seq, InlineTask& fn);
+  bool pop_next(TimePoint limit, TimePoint& t, std::uint64_t& key,
+                InlineTask& fn);
+  /// Per-fire bookkeeping shared by every pop path: clock, counter, merge
+  /// key, then the fire hook.
+  void begin_fire(TimePoint t, std::uint64_t key) {
+    DQOS_ASSERT(t >= now_);
+    now_ = t;
+    ++fired_;
+    if (t.ps() != merge_ps_ || key > merge_key_) {
+      merge_ps_ = t.ps();
+      merge_key_ = key;
+    }
+    if (fire_hook_) fire_hook_(key, t);
+  }
 
   TimePoint now_ = TimePoint::zero();
-  std::uint64_t next_seq_ = 1;
-  /// Where schedule_at draws sequence numbers from: the internal counter,
-  /// an engine-shared global counter, or the window log's provisional
-  /// counter. Self-reference is safe — Simulator is neither copyable nor
-  /// movable.
-  std::uint64_t* seq_src_ = &next_seq_;
-  std::uint64_t* ext_seq_ = nullptr;
-  ShardWindowLog* wlog_ = nullptr;
+  EventLane lane0_;
+  std::int64_t merge_ps_ = -1;
+  std::uint64_t merge_key_ = 0;
   std::uint64_t fired_ = 0;
   std::size_t live_ = 0;
   std::size_t tombstones_ = 0;
@@ -285,7 +310,7 @@ class Simulator {
   unsigned width_shift_ = kDefaultWidthShift;
   std::size_t entries_ = 0;  ///< live + tombstoned entries (buckets + bottom)
   /// Bottom rung (ladder-queue style): the already-harvested due window,
-  /// sorted ascending by (time, seq) and consumed by index. Every pending
+  /// sorted ascending by (time, key) and consumed by index. Every pending
   /// entry with time < bottom_end_ps_ lives here — the pop fast path is an
   /// array read, and short-delay inserts binary-search into the tail.
   std::vector<CalEntry> bottom_;

@@ -37,7 +37,7 @@ void MetricsCollector::on_packet_delivered(const Packet& p, TimePoint now,
                                            Duration slack) {
   if (relay_primary_ != nullptr) {
     if (*relay_window_) {
-      relay_log_->effects.push_back(DeferredEffect{
+      relay_log_->defer(DeferredEffect{
           DeferredEffect::Kind::kPacketDelivered,
           static_cast<std::uint8_t>(p.hdr.tclass),
           static_cast<std::uint32_t>(p.size()), p.t_created.ps(), now.ps(),
@@ -80,7 +80,7 @@ void MetricsCollector::record_packet_delivered(TrafficClass tclass,
 void MetricsCollector::on_packet_expired(const Packet& p) {
   if (relay_primary_ != nullptr) {
     if (*relay_window_) {
-      relay_log_->effects.push_back(DeferredEffect{
+      relay_log_->defer(DeferredEffect{
           DeferredEffect::Kind::kPacketExpired,
           static_cast<std::uint8_t>(p.hdr.tclass),
           static_cast<std::uint32_t>(p.size()), p.t_created.ps(), 0, 0, 0});
@@ -109,7 +109,7 @@ void MetricsCollector::record_packet_expired(TrafficClass tclass,
 void MetricsCollector::on_packet_dropped(TrafficClass tclass) {
   if (relay_primary_ != nullptr) {
     if (*relay_window_) {
-      relay_log_->effects.push_back(DeferredEffect{
+      relay_log_->defer(DeferredEffect{
           DeferredEffect::Kind::kPacketDropped,
           static_cast<std::uint8_t>(tclass), 0, 0, 0, 0, 0});
     } else {
@@ -125,7 +125,7 @@ void MetricsCollector::on_message_delivered(TrafficClass tclass, TimePoint creat
                                             TimePoint completed) {
   if (relay_primary_ != nullptr) {
     if (*relay_window_) {
-      relay_log_->effects.push_back(DeferredEffect{
+      relay_log_->defer(DeferredEffect{
           DeferredEffect::Kind::kMessageDelivered,
           static_cast<std::uint8_t>(tclass), 0, created.ps(), completed.ps(),
           0, bytes});
@@ -149,7 +149,7 @@ void MetricsCollector::on_message_offered(TrafficClass tclass, std::uint64_t byt
                                           TimePoint now) {
   if (relay_primary_ != nullptr) {
     if (*relay_window_) {
-      relay_log_->effects.push_back(DeferredEffect{
+      relay_log_->defer(DeferredEffect{
           DeferredEffect::Kind::kMessageOffered,
           static_cast<std::uint8_t>(tclass), 0, 0, now.ps(), 0, bytes});
     } else {

@@ -110,8 +110,8 @@ class MetricsCollector {
 
   // --- sharded execution relay (DESIGN.md §12) ---------------------------
   /// Turns this instance into a per-shard relay for `primary`: while
-  /// `*window_active` the hooks append DeferredEffect records to `log`
-  /// instead of touching any accumulator (the engine replays them on the
+  /// `*window_active` the hooks defer DeferredEffect records into `log`
+  /// instead of touching any accumulator (the engine applies them on the
   /// primary, in merged global fire order, at the window barrier); outside
   /// windows they forward to the primary directly. The relay itself holds
   /// no samples. Window filtering happens at replay/forward time on the

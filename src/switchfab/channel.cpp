@@ -9,7 +9,12 @@ namespace dqos {
 
 Channel::Channel(Simulator& sim, Bandwidth bw, Duration latency, std::uint8_t num_vcs,
                  std::uint32_t credits_per_vc)
-    : sim_(sim), bw_(bw), latency_(latency), capacity_(credits_per_vc) {
+    : sim_(sim),
+      bw_(bw),
+      latency_(latency),
+      capacity_(credits_per_vc),
+      send_lane_(&sim.default_lane()),
+      recv_lane_(&sim.default_lane()) {
   DQOS_EXPECTS(bw.valid());
   DQOS_EXPECTS(latency >= Duration::zero());
   DQOS_EXPECTS(num_vcs >= 1);
@@ -54,7 +59,8 @@ void Channel::return_credits(VcId vc, std::uint32_t bytes) {
   }
   // dqos-lint: allow(hot-path-transitive) — amortized batch-FIFO growth
   q.push_back(CreditBatch{deliver_ps, bytes});
-  sim_.schedule_after(latency_, [this, vc] { flush_credits(vc); });
+  sim_.schedule_after(latency_, *recv_lane_,
+                      [this, vc] { flush_credits(vc); });
 }
 
 // dqos-lint: hot
@@ -98,30 +104,30 @@ void Channel::send(PacketPtr p) {
   in_flight_bytes_[vc] += static_cast<std::int64_t>(p->size());
   ++packets_in_flight_;
   if (engine_ == nullptr) {
-    sim_.schedule_after(ser + latency_, ArrivalTask{this, std::move(p), vc});
+    sim_.schedule_after(ser + latency_, *send_lane_,
+                        ArrivalTask{this, std::move(p), vc});
     return;
   }
   const TimePoint at = sim_.now() + ser + latency_;
   if (*win_) {
     // dqos-lint: shard
     // Window mode: the arrival crosses a shard boundary — post it to the
-    // mailbox and record the kid so the merge assigns it the serial
-    // sequence number the schedule call would have consumed.
-    ShardWindowLog& slog = engine_->log(src_shard_);
-    std::vector<CrossMsg>& box = slog.outboxes[dst_shard_];
-    slog.kids.push_back(ShardWindowLog::mailbox_ref(dst_shard_, box.size()));
+    // mailbox under the key the serial schedule call would have drawn from
+    // the sender's lane; the barrier schedules it on the receiver.
     CrossMsg m;
     m.at_ps = at.ps();
+    m.key = send_lane_->take();
     m.vc = vc;
     m.ctx = this;
     m.p = std::move(p);
     m.deliver = &Channel::deliver_arrival_msg;
-    box.push_back(std::move(m));
+    engine_->log(src_shard_).outboxes[dst_shard_].push_back(std::move(m));
     return;
   }
   // Serial stretch (setup or an instant): schedule directly on the
-  // receiver's calendar with an eagerly-assigned global sequence number.
-  dst_sim_->schedule_at(at, CrossArrivalTask{this, std::move(p), vc});
+  // receiver's calendar.
+  dst_sim_->schedule_at(at, *send_lane_,
+                        CrossArrivalTask{this, std::move(p), vc});
 }
 
 void Channel::ArrivalTask::operator()() {
@@ -173,8 +179,8 @@ void Channel::CrossFlushTask::operator()() {
 void Channel::deliver_arrival_msg(CrossMsg&& m) {
   auto* ch = static_cast<Channel*>(m.ctx);
   const VcId vc = m.vc;
-  ch->dst_sim_->schedule_keyed(TimePoint::from_ps(m.at_ps), m.seq,
-                               CrossArrivalTask{ch, std::move(m.p), vc});
+  ch->dst_sim_->schedule_at(TimePoint::from_ps(m.at_ps), m.key,
+                            CrossArrivalTask{ch, std::move(m.p), vc});
 }
 
 void Channel::deliver_credit_msg(CrossMsg&& m) {
@@ -183,8 +189,8 @@ void Channel::deliver_credit_msg(CrossMsg&& m) {
   // the debit to the barrier is invisible because the counter is only read
   // at serial instants (resync, audits), which all happen-after this.
   ch->credits_in_flight_[m.vc] += static_cast<std::int64_t>(m.bytes);
-  ch->sim_.schedule_keyed(TimePoint::from_ps(m.at_ps), m.seq,
-                          CrossFlushTask{ch, m.vc, m.bytes});
+  ch->sim_.schedule_at(TimePoint::from_ps(m.at_ps), m.key,
+                       CrossFlushTask{ch, m.vc, m.bytes});
 }
 
 void Channel::cross_return_credits(VcId vc, std::uint32_t bytes) {
@@ -193,21 +199,19 @@ void Channel::cross_return_credits(VcId vc, std::uint32_t bytes) {
   // instants for one VC are non-decreasing within a window (now + fixed
   // latency), and same-instant events always share a window, so folding
   // into the newest batch posted this window reproduces the serial
-  // "fold into q.back()" exactly — including consuming no sequence number.
-  ShardWindowLog& rlog = engine_->log(dst_shard_);
-  std::vector<CrossMsg>& box = rlog.outboxes[src_shard_];
+  // "fold into q.back()" exactly — including drawing no key.
+  std::vector<CrossMsg>& box = engine_->log(dst_shard_).outboxes[src_shard_];
   const std::int64_t deliver_ps = (dst_sim_->now() + latency_).ps();
   if (cross_fold_window_[vc] == engine_->window_id() &&
       box[cross_fold_idx_[vc]].at_ps == deliver_ps) {
     box[cross_fold_idx_[vc]].bytes += bytes;
     return;
   }
-  // dqos-lint: allow(hot-path-transitive) — replay-log growth is amortized
-  rlog.kids.push_back(ShardWindowLog::mailbox_ref(src_shard_, box.size()));
   cross_fold_window_[vc] = engine_->window_id();
   cross_fold_idx_[vc] = static_cast<std::uint32_t>(box.size());
   CrossMsg m;
   m.at_ps = deliver_ps;
+  m.key = recv_lane_->take();
   m.bytes = bytes;
   m.vc = vc;
   m.ctx = this;
@@ -252,7 +256,8 @@ void Channel::enable_credit_resync(Duration silence_window, TimePoint horizon) {
   resync_window_ = silence_window;
   resync_horizon_ = horizon;
   if (timer_sim().now() + silence_window <= horizon) {
-    timer_sim().schedule_after(silence_window, [this] { resync_check(); });
+    timer_sim().schedule_after(silence_window, *send_lane_,
+                               [this] { resync_check(); });
   }
 }
 
@@ -276,7 +281,8 @@ void Channel::resync_check() {
     }
   }
   if (now + resync_window_ <= resync_horizon_) {
-    timer_sim().schedule_after(resync_window_, [this] { resync_check(); });
+    timer_sim().schedule_after(resync_window_, *send_lane_,
+                               [this] { resync_check(); });
   }
 }
 

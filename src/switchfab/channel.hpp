@@ -56,6 +56,13 @@ class Channel {
 
   void connect_to(PacketReceiver* dst, PortId dst_port);
 
+  /// Event lanes (DESIGN.md §12): arrivals and the resync timer are keyed
+  /// by the sending node's lane, credit returns by the receiving node's.
+  /// Wired by the endpoints' attach calls; an unattached side schedules
+  /// under its calendar's entity-0 lane.
+  void set_sender_lane(EventLane* lane) { send_lane_ = lane; }
+  void set_receiver_lane(EventLane* lane) { recv_lane_ = lane; }
+
   /// Called by the sender when fresh credits arrive (to retry arbitration).
   /// Also invoked on repair() so stalled senders resume draining. The
   /// context pointer must outlive this channel's event activity.
@@ -214,7 +221,8 @@ class Channel {
   };
 
  private:
-  /// Mailbox delivery thunks (coordinator, at the barrier).
+  /// Mailbox delivery thunks (coordinator, at the barrier): schedule the
+  /// message body under the key its poster drew.
   static void deliver_arrival_msg(CrossMsg&& m);
   static void deliver_credit_msg(CrossMsg&& m);
   /// Window-mode credit return: replicates the serial coalescing decision
@@ -246,6 +254,8 @@ class Channel {
   std::vector<std::int64_t> credits_;
   PacketReceiver* dst_ = nullptr;
   PortId dst_port_ = kInvalidPort;
+  EventLane* send_lane_;
+  EventLane* recv_lane_;
   Callback<void()> on_credit_;
   /// Per-VC pending credit batches + FIFO consume index. The vector is
   /// cleared (capacity retained) whenever the last batch flushes, so the

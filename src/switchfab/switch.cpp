@@ -35,7 +35,7 @@ InputArbiterKind input_arbiter_for(SwitchArch a) {
 
 Switch::Switch(Simulator& sim, NodeId id, std::size_t num_ports,
                const SwitchParams& params, LocalClock clock)
-    : sim_(sim), id_(id), params_(params), clock_(clock) {
+    : sim_(sim), id_(id), lane_(1 + id), params_(params), clock_(clock) {
   DQOS_EXPECTS(num_ports >= 2);
   DQOS_EXPECTS(params.num_vcs >= 1);
   DQOS_EXPECTS(params.crossbar_speedup >= 1.0);
@@ -75,6 +75,7 @@ void Switch::attach_output(PortId port, Channel* ch) {
   DQOS_EXPECTS(port < outputs_.size() && ch != nullptr);
   DQOS_EXPECTS(outputs_[port].channel == nullptr);
   outputs_[port].channel = ch;
+  ch->set_sender_lane(&lane_);
   ch->set_on_credit({[](void* ctx) {
                        auto* out = static_cast<Output*>(ctx);
                        out->self->try_drain(out->port);
@@ -90,6 +91,7 @@ void Switch::attach_input(PortId port, Channel* ch) {
   DQOS_EXPECTS(port < inputs_.size() && ch != nullptr);
   DQOS_EXPECTS(inputs_[port].channel == nullptr);
   inputs_[port].channel = ch;
+  ch->set_receiver_lane(&lane_);
   // Credit-resync oracle: the upstream sender may re-derive its counter
   // from this buffer's occupancy after a credit loss.
   ch->set_occupancy_probe({[](void* ctx, VcId vc) -> std::uint64_t {
@@ -221,9 +223,9 @@ void Switch::try_fill(std::size_t out) {
     o.write_busy_until = i.read_busy_until = now + xfer;
     // The packet is in flight across the crossbar; it lands in the output
     // buffer after the transfer.
-    sim_.schedule_after(xfer, XbarTask{this, std::move(p), out});
-    sim_.schedule_after(xfer, [this, out] { try_fill(out); });
-    sim_.schedule_after(xfer, [this, in = win] { on_input_free(in); });
+    sim_.schedule_after(xfer, lane_, XbarTask{this, std::move(p), out});
+    sim_.schedule_after(xfer, lane_, [this, out] { try_fill(out); });
+    sim_.schedule_after(xfer, lane_, [this, in = win] { on_input_free(in); });
     return;
   }
 }
@@ -270,7 +272,7 @@ bool Switch::drain_vc(std::size_t out, VcId vc, TimePoint now) {
   // the link sits idle for that long after each packet (A10).
   const Duration op = heap_queues_ ? params_.heap_op_latency : Duration::zero();
   o.link_busy_until = now + ser + op;
-  sim_.schedule_after(ser + op, [this, out] { try_drain(out); });
+  sim_.schedule_after(ser + op, lane_, [this, out] { try_drain(out); });
   // Output-buffer space freed: the crossbar may refill.
   try_fill(out);
   return true;

@@ -140,6 +140,8 @@ class Switch final : public PacketReceiver {
   [[nodiscard]] std::string debug_dump() const;
 
   [[nodiscard]] NodeId id() const { return id_; }
+  /// This node's event lane (DESIGN.md §12), shared with its channels.
+  [[nodiscard]] EventLane& lane() { return lane_; }
   [[nodiscard]] std::size_t num_ports() const { return inputs_.size(); }
   [[nodiscard]] const LocalClock& clock() const { return clock_; }
   [[nodiscard]] const SwitchCounters& counters() const { return counters_; }
@@ -236,6 +238,7 @@ class Switch final : public PacketReceiver {
  private:
   Simulator& sim_;
   NodeId id_;
+  EventLane lane_;  ///< entity 1 + id_: every event this switch schedules
   SwitchParams params_;
   LocalClock clock_;
   Bandwidth xbar_bw_;  ///< derived: link bw x speedup (set on first attach)

@@ -16,7 +16,7 @@ void CbrSource::start(TimePoint stop) {
   stop_ = stop;
   const TimePoint first = sim_.now() + params_.phase;
   if (first >= stop_) return;
-  pending_ = sim_.schedule_at(first, [this] {
+  pending_ = sim_.schedule_at(first, host_.lane(), [this] {
     pending_ = 0;
     tick();
   });
@@ -26,7 +26,7 @@ void CbrSource::tick() {
   emit(flow_, params_.message_bytes);
   const TimePoint next = sim_.now() + params_.period;
   if (next < stop_) {
-    pending_ = sim_.schedule_at(next, [this] {
+    pending_ = sim_.schedule_at(next, host_.lane(), [this] {
       pending_ = 0;
       tick();
     });

@@ -56,7 +56,7 @@ void ControlSource::schedule_next() {
   const double wait = -mean_interarrival_sec_ * std::log(rng_.uniform_pos());
   const TimePoint at = sim_.now() + Duration::from_seconds_double(wait);
   if (at >= stop_) return;
-  pending_ = sim_.schedule_at(at, [this] {
+  pending_ = sim_.schedule_at(at, host_.lane(), [this] {
     pending_ = 0;
     arrival();
   });

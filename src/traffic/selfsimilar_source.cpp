@@ -81,7 +81,7 @@ void SelfSimilarSource::schedule_next_burst() {
   const double wait = -mean_off_sec_ * std::log(rng_.uniform_pos());
   const TimePoint at = sim_.now() + Duration::from_seconds_double(wait);
   if (at >= stop_) return;
-  pending_ = sim_.schedule_at(at, [this] {
+  pending_ = sim_.schedule_at(at, host_.lane(), [this] {
     pending_ = 0;
     begin_burst();
   });
@@ -100,10 +100,11 @@ void SelfSimilarSource::burst_message() {
   const auto bytes = static_cast<std::uint64_t>(size_dist_(rng_));
   emit(burst_flow_, bytes);
   if (--burst_left_ > 0 && sim_.now() + params_.intra_burst_gap < stop_) {
-    pending_ = sim_.schedule_after(params_.intra_burst_gap, [this] {
-      pending_ = 0;
-      burst_message();
-    });
+    pending_ = sim_.schedule_after(params_.intra_burst_gap, host_.lane(),
+                                   [this] {
+                                     pending_ = 0;
+                                     burst_message();
+                                   });
   } else {
     schedule_next_burst();
   }

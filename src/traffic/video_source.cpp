@@ -80,7 +80,7 @@ void VideoSource::start(TimePoint stop) {
   }
   const TimePoint first = sim_.now() + phase;
   if (first >= stop_) return;
-  pending_ = sim_.schedule_at(first, [this] {
+  pending_ = sim_.schedule_at(first, host_.lane(), [this] {
     pending_ = 0;
     frame_tick();
   });
@@ -102,7 +102,7 @@ void VideoSource::frame_tick() {
   if (!drop) emit(flow_, bytes);
   const TimePoint next = sim_.now() + params_.frame_period;
   if (next < stop_) {
-    pending_ = sim_.schedule_at(next, [this] {
+    pending_ = sim_.schedule_at(next, host_.lane(), [this] {
       pending_ = 0;
       frame_tick();
     });

@@ -54,7 +54,7 @@ void TraceVideoSource::start(TimePoint stop) {
   }
   const TimePoint first = sim_.now() + phase;
   if (first >= stop_) return;
-  pending_ = sim_.schedule_at(first, [this] {
+  pending_ = sim_.schedule_at(first, host_.lane(), [this] {
     pending_ = 0;
     frame_tick();
   });
@@ -65,7 +65,7 @@ void TraceVideoSource::frame_tick() {
   next_frame_ = (next_frame_ + 1) % trace_->size();
   const TimePoint next = sim_.now() + params_.frame_period;
   if (next < stop_) {
-    pending_ = sim_.schedule_at(next, [this] {
+    pending_ = sim_.schedule_at(next, host_.lane(), [this] {
       pending_ = 0;
       frame_tick();
     });

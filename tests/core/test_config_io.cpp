@@ -265,6 +265,22 @@ TEST(ConfigFromArgsErrors, InconsistentCombinationIsAnError) {
   EXPECT_NE(msg.find("buffer"), std::string::npos) << msg;
 }
 
+TEST(ConfigFromArgsErrors, NodeCountBeyondEventKeyEntityFieldIsRefused) {
+  // Event keys carry 1 + NodeId in 24 bits: a 4096x4096 mesh (33.5M
+  // nodes) must be refused at config check, naming the limit, before any
+  // topology is built.
+  const std::string msg = error_of(
+      {"--topology=mesh", "--mesh-width=4096", "--mesh-height=4096",
+       "--mesh-concentration=1"});
+  EXPECT_NE(msg.find("33554432 nodes"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("24-bit"), std::string::npos) << msg;
+  // Products that wrap 32 bits are refused too, not accepted as small.
+  EXPECT_NE(error_of({"--topology=kary", "--kary-k=65536", "--kary-n=2"}), "");
+  // The largest paper-style fabrics stay accepted.
+  EXPECT_EQ(error_of({"--topology=mesh", "--mesh-width=64",
+                      "--mesh-height=64"}), "");
+}
+
 TEST(ConfigFromArgsErrors, FaultKeysValidated) {
   EXPECT_EQ(error_of({"--fault-inject", "--fault-link-down-per-sec=100"}), "");
   EXPECT_NE(error_of({"--fault-link-down-per-sec=-5"}), "");

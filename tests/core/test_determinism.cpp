@@ -1,15 +1,14 @@
 /// \file test_determinism.cpp
 /// Golden-determinism guards for the event kernel.
 ///
-/// The simulator's reproducibility contract is that two events scheduled
-/// for the same instant fire in scheduling order — (time, sequence) — and
-/// that nothing else (heap layout, allocator, hash-set iteration, thread
-/// fan-out of independent replicas) can perturb a run. These tests pin the
-/// contract with golden hashes captured on the pre-InlineTask kernel
-/// (priority_queue + std::function + unordered_set tombstones): any kernel
-/// or sweep-runner change that alters the fire order, the simulated
-/// results, or even the CSV formatting of a Figure-2 style sweep must
-/// update these constants *consciously*.
+/// The simulator's reproducibility contract is that events fire in
+/// (time, entity, counter) order — every key drawn from its scheduling
+/// entity's own lane — and that nothing else (heap layout, allocator,
+/// hash-set iteration, thread fan-out of independent replicas) can perturb
+/// a run. These tests pin the contract with golden hashes (goldens.hpp):
+/// any kernel or sweep-runner change that alters the fire order, the
+/// simulated results, or even the CSV formatting of a Figure-2 style sweep
+/// must update those constants *consciously*.
 #include "core/experiment.hpp"
 
 #include <gtest/gtest.h>
@@ -20,26 +19,17 @@
 
 #include "core/network_simulator.hpp"
 #include "core/run_controller.hpp"
+#include "goldens.hpp"
 
 namespace dqos {
 namespace {
 
 using namespace dqos::literals;
 
-/// FNV-1a over a stream of 64-bit words.
-class StreamHash {
- public:
-  void mix(std::uint64_t w) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (w >> (8 * i)) & 0xffULL;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
+using golden::hook_hash;
+using golden::kGoldenFig2CsvHash;
+using golden::kGoldenMesh16FireOrderHash;
+using golden::StreamHash;
 
 /// The mesh16 platform (configs/mesh16.cfg) with shortened phases so the
 /// test stays fast; seed pinned.
@@ -58,22 +48,6 @@ SimConfig mesh16_config() {
   return cfg;
 }
 
-/// Wires `h` as the simulator fire hook via a raw (fn, ctx) Callback;
-/// `h` must outlive the run.
-void hook_hash(NetworkSimulator& net, StreamHash& h) {
-  net.sim().set_fire_hook({[](void* ctx, std::uint64_t seq, TimePoint t) {
-                             auto* hash = static_cast<StreamHash*>(ctx);
-                             hash->mix(seq);
-                             hash->mix(static_cast<std::uint64_t>(t.ps()));
-                           },
-                           &h});
-}
-
-// Golden values captured on the pre-change kernel (priority_queue-based,
-// PR 1 tree). A mismatch means the fire order or simulation outcome moved.
-constexpr std::uint64_t kGoldenMesh16FireOrderHash = 0xe2e7ad102854c2e4ULL;
-constexpr std::uint64_t kGoldenFig2CsvHash = 0x291d89f300f86c23ULL;
-
 TEST(GoldenDeterminism, Mesh16EventFireOrderHash) {
   NetworkSimulator net(mesh16_config());
   StreamHash h;
@@ -81,7 +55,7 @@ TEST(GoldenDeterminism, Mesh16EventFireOrderHash) {
   const SimReport rep = net.run();
   EXPECT_GT(rep.events_processed, 100'000u);  // the run actually did work
   EXPECT_EQ(h.value(), kGoldenMesh16FireOrderHash)
-      << "event fire order changed: seq/time stream hash = " << std::hex
+      << "event fire order changed: key/time stream hash = " << std::hex
       << h.value();
 }
 

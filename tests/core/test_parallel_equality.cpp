@@ -4,7 +4,7 @@
 ///
 /// The engine's contract is stronger than "statistically equivalent": a
 /// sharded run must replay the serial run byte-for-byte — same event fire
-/// order (seq/time stream), same metrics, same CSV output — at every shard
+/// order (key/time stream), same metrics, same CSV output — at every shard
 /// count, with or without faults, overload machinery, or the invariant
 /// auditor. These tests pin that contract against the same golden hashes
 /// the serial kernel is pinned to, so a divergence anywhere in the window
@@ -13,12 +13,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/network_simulator.hpp"
 #include "core/run_controller.hpp"
 #include "fault/fault_injector.hpp"
+#include "goldens.hpp"
 #include "topo/partition.hpp"
 
 namespace dqos {
@@ -26,26 +30,10 @@ namespace {
 
 using namespace dqos::literals;
 
-/// FNV-1a over a stream of 64-bit words (same as test_determinism.cpp).
-class StreamHash {
- public:
-  void mix(std::uint64_t w) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (w >> (8 * i)) & 0xffULL;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
-/// Golden fire-order hash of the serial mesh16 run (test_determinism.cpp
-/// owns the constant's provenance) — the parallel engine must reproduce it
-/// exactly at every shard count.
-constexpr std::uint64_t kGoldenMesh16FireOrderHash = 0xe2e7ad102854c2e4ULL;
-constexpr std::uint64_t kGoldenFig2CsvHash = 0x291d89f300f86c23ULL;
+using golden::hook_hash;
+using golden::kGoldenFig2CsvHash;
+using golden::kGoldenMesh16FireOrderHash;
+using golden::StreamHash;
 
 /// Same platform as test_determinism.cpp's mesh16_config(), with the shard
 /// count as a parameter.
@@ -80,23 +68,6 @@ SimConfig fat_tree_config(std::uint32_t shards) {
   cfg.seed = 7;
   cfg.shards = shards;
   return cfg;
-}
-
-/// Installs the hash as the fire hook on whichever engine the simulator
-/// runs — the shard executor when sharded, the plain calendar otherwise.
-void hook_hash(NetworkSimulator& net, StreamHash& h) {
-  const Callback<void(std::uint64_t, TimePoint)> cb{
-      [](void* ctx, std::uint64_t seq, TimePoint t) {
-        auto* hash = static_cast<StreamHash*>(ctx);
-        hash->mix(seq);
-        hash->mix(static_cast<std::uint64_t>(t.ps()));
-      },
-      &h};
-  if (ShardExecutor* engine = net.shard_engine()) {
-    engine->set_fire_hook(cb);
-  } else {
-    net.sim().set_fire_hook(cb);
-  }
 }
 
 /// Per-class result rows formatted exactly like the golden determinism
@@ -368,6 +339,38 @@ TEST(ParallelEquality, ThreadedWindowsMatchInline) {
   cfg.shard_threads = 1;
   const RunResult threaded = run_config(cfg);
   EXPECT_EQ(threaded.hash, kGoldenMesh16FireOrderHash);
+}
+
+TEST(ParallelEquality, ShardLocalKeysNeverRepeat) {
+  // Every key is (entity << 40 | counter) from the scheduling entity's own
+  // lane, so across all shards — inline and threaded — no two fired events
+  // share a key, and the (time, key) stream equals the serial one.
+  using Fired = std::vector<std::pair<std::int64_t, std::uint64_t>>;
+  auto collect = [](std::uint32_t shards, std::int32_t threads) {
+    SimConfig cfg = mesh16_config(shards);
+    cfg.shard_threads = threads;
+    NetworkSimulator net(cfg);
+    Fired fired;
+    golden::set_fire_hook(net, {[](void* ctx, std::uint64_t key, TimePoint t) {
+                                  static_cast<Fired*>(ctx)->emplace_back(
+                                      t.ps(), key);
+                                },
+                                &fired});
+    (void)net.run();
+    return fired;
+  };
+  const Fired serial = collect(1, 0);
+  for (const std::int32_t threads : {0, 1}) {
+    const Fired par = collect(3, threads);
+    EXPECT_EQ(par, serial) << "shard_threads=" << threads;
+    std::vector<std::uint64_t> keys;
+    keys.reserve(par.size());
+    for (const auto& f : par) keys.push_back(f.second);
+    std::sort(keys.begin(), keys.end());
+    EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end())
+        << "shard_threads=" << threads << ": a key fired twice";
+    EXPECT_GT(keys.size(), 100'000u);
+  }
 }
 
 }  // namespace

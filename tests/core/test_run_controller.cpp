@@ -105,6 +105,30 @@ TEST(RunControllerTest, PhaseLoadsShapeOfferedTraffic) {
   EXPECT_LT(p1, p0 * 2.5);
 }
 
+TEST(RunControllerTest, PhaseZeroOffersItsOwnLoadNotTheConfigLoad) {
+  // The top-level config says load 1.0, the scenario's phase 0 says 0.3:
+  // phase 0's sources must be sized for 0.3, not for the one-phase
+  // workload the config alone implies.
+  SimConfig cfg = mesh16();
+  cfg.load = 1.0;
+  Scenario scn;
+  scn.phases.resize(2);
+  scn.phases[0].load = 0.3;
+  scn.phases[1].start = 1_ms;
+  scn.phases[1].load = 0.3;
+  NetworkSimulator net(cfg);
+  RunController controller(net, scn);
+  const ScenarioReport rep = controller.run();
+  const double expected =
+      0.3 * scn.phases[0].class_share[0] * cfg.link_bw.bytes_per_sec() *
+      static_cast<double>(cfg.num_hosts());
+  const double p0 =
+      rep.phases[0].of(TrafficClass::kControl).offered_bytes_per_sec;
+  EXPECT_GT(p0, expected * 0.75);
+  EXPECT_LT(p0, expected * 1.25) << "phase 0 offered " << p0
+                                 << " B/s, sized for load 0.3: " << expected;
+}
+
 TEST(RunControllerTest, ChurnFreeScenarioLeavesLegacyLedgerAlone) {
   // A pure single-phase scenario keeps the legacy post-run behaviour: the
   // static population's reservations stay inspectable after the run.

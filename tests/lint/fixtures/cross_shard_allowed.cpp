@@ -1,17 +1,16 @@
 // Pretends to live at src/switchfab/window_ok.cpp.
 // Clean shard-marked regions: cross-shard traffic goes through the
-// mailbox (CrossMsg into an outbox, note into arrival_notes); plus one
-// deliberate violation suppressed with an allow marker.
+// mailbox (CrossMsg into an outbox, keyed from the sender's own lane;
+// note into arrival_notes); plus one deliberate violation suppressed with
+// an allow marker.
 void Channel::send_window(PacketPtr p, VcId vc) {
   if (*win_) {
     // dqos-lint: shard
-    ShardWindowLog& slog = engine_->log(src_shard_);
-    std::vector<CrossMsg>& box = slog.outboxes[dst_shard_];
-    slog.kids.push_back(ShardWindowLog::mailbox_ref(dst_shard_, box.size()));
     CrossMsg m;
     m.at_ps = at.ps();
+    m.key = send_lane_->take();
     m.deliver = &Channel::deliver_arrival_msg;
-    box.push_back(std::move(m));
+    engine_->log(src_shard_).outboxes[dst_shard_].push_back(std::move(m));
   }
 }
 

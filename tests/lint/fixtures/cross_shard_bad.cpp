@@ -6,8 +6,10 @@ void Channel::send_window(PacketPtr p, VcId vc) {
   if (*win_) {
     // dqos-lint: shard
     dst_sim_->schedule_at(at, CrossArrivalTask{this, std::move(p), vc});
-    dst_sim_->schedule_keyed(at, seq, CrossArrivalTask{this, std::move(p), vc});
+    dst_sim_->schedule_at(at, key, CrossArrivalTask{this, std::move(p), vc});
     sim_.schedule_after(latency_, FlushTask{this, vc});
+    dst_sim_->cancel(pending_);
+    dst_sim_->drain_due(at);
   }
   // Outside the marked block: direct scheduling is the serial path, fine.
   dst_sim_->schedule_at(at, CrossArrivalTask{this, std::move(p), vc});

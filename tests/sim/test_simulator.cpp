@@ -43,6 +43,89 @@ TEST(Simulator, SimultaneousEventsFifo) {
   for (int i = 0; i < 50; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
+TEST(Simulator, SameInstantFiresByEntityThenCounter) {
+  // The key is (time, entity, counter): at one instant every event of a
+  // lower entity fires before any of a higher one, whatever the schedule
+  // order; within an entity the lane counter decides.
+  Simulator sim;
+  EventLane a(7);
+  EventLane b(3);
+  std::vector<int> order;
+  const TimePoint t = TimePoint::from_ps(1000);
+  sim.schedule_at(t, a, [&] { order.push_back(70); });
+  sim.schedule_at(t, b, [&] { order.push_back(30); });
+  sim.schedule_at(t, a, [&] { order.push_back(71); });
+  sim.schedule_at(t, [&] { order.push_back(0); });  // entity 0
+  sim.schedule_at(t, b, [&] { order.push_back(31); });
+  std::vector<std::uint64_t> keys;
+  sim.set_fire_hook({[](void* ctx, std::uint64_t key, TimePoint) {
+                       static_cast<std::vector<std::uint64_t>*>(ctx)->push_back(
+                           key);
+                     },
+                     &keys});
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 30, 31, 70, 71}));
+  ASSERT_EQ(keys.size(), 5u);
+  EXPECT_EQ(keys[0], 1u);  // entity 0, counter 1
+  EXPECT_EQ(keys[1], (std::uint64_t{3} << EventLane::kCounterBits) | 1);
+  EXPECT_EQ(keys[4], (std::uint64_t{7} << EventLane::kCounterBits) | 2);
+}
+
+TEST(Simulator, OneLaneStaysFifo) {
+  // Same-instant events of one lane fire in scheduling order, interleaved
+  // with another lane's or not.
+  Simulator sim;
+  EventLane lane(5);
+  EventLane other(9);
+  std::vector<int> order;
+  for (int i = 0; i < 50; ++i) {
+    sim.schedule_at(TimePoint::from_ps(1000), lane,
+                    [&order, i] { order.push_back(i); });
+    sim.schedule_at(TimePoint::from_ps(1000), other, [] {});
+  }
+  sim.run();
+  ASSERT_EQ(order.size(), 50u);
+  for (int i = 0; i < 50; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+}
+
+TEST(Simulator, ZeroDelayChildUnderLowerEntityFiresNext) {
+  // A zero-delay child keyed below its parent (lower entity) is the
+  // smallest pending key, so it fires right after the parent — ahead of
+  // same-instant events whose keys lie between the two. The pop order is
+  // then not ascending by key; merge_key() (the running maximum) is, which
+  // is what the sharded engine merges by (DESIGN.md §12).
+  Simulator sim;
+  EventLane low(2);
+  EventLane mid(5);
+  EventLane high(8);
+  std::vector<int> order;
+  std::vector<std::uint64_t> merge_keys;
+  const TimePoint t = TimePoint::from_ps(1000);
+  sim.schedule_at(t, high, [&] {
+    order.push_back(8);
+    merge_keys.push_back(sim.merge_key());
+    sim.schedule_after(Duration::zero(), low, [&] {
+      order.push_back(2);
+      merge_keys.push_back(sim.merge_key());
+    });
+  });
+  sim.schedule_at(t, high, [&] {
+    order.push_back(9);
+    merge_keys.push_back(sim.merge_key());
+  });
+  sim.schedule_at(t, mid, [&] {
+    order.push_back(5);
+    merge_keys.push_back(sim.merge_key());
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{5, 8, 2, 9}));
+  const std::uint64_t mid1 = (std::uint64_t{5} << EventLane::kCounterBits) | 1;
+  const std::uint64_t high1 = (std::uint64_t{8} << EventLane::kCounterBits) | 1;
+  const std::uint64_t high2 = (std::uint64_t{8} << EventLane::kCounterBits) | 2;
+  EXPECT_EQ(merge_keys,
+            (std::vector<std::uint64_t>{mid1, high1, high1, high2}));
+}
+
 TEST(Simulator, ScheduleAfterUsesNow) {
   Simulator sim;
   TimePoint fired;

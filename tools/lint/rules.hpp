@@ -70,8 +70,8 @@ inline constexpr std::array<const char*, 8> kGrowthCalls = {
     "resize",    "reserve",      "assign",  "append"};
 inline constexpr std::array<const char*, 3> kTypeErasureIdents = {
     "shared_ptr", "make_shared", "weak_ptr"};
-inline constexpr std::array<const char*, 4> kDirectCalendarCalls = {
-    "schedule_at", "schedule_after", "schedule_keyed", "run_until"};
+inline constexpr std::array<const char*, 5> kDirectCalendarCalls = {
+    "schedule_at", "schedule_after", "cancel", "drain_due", "run_until"};
 }  // namespace tables
 
 /// True when token `i` is a wall-clock/libc-RNG *call site*: one of

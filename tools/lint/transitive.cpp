@@ -154,8 +154,9 @@ void rule_hot_path(const Index& idx, const CallGraph& graph,
 // cross-shard-access (the region itself) / shard-ownership (its callees)
 // ---------------------------------------------------------------------------
 
-/// Calls `report(i)` for every direct calendar call (schedule_at / keyed
-/// / run_until) at token index i in [begin, end) of `t`.
+/// Calls `report(i)` for every direct calendar call (tables::
+/// kDirectCalendarCalls: schedule_at / schedule_after / cancel / drain_due /
+/// run_until) at token index i in [begin, end) of `t`.
 template <class Report>
 void scan_calendar_calls(const TokenVec& t, std::size_t begin, std::size_t end,
                          Report report) {
@@ -171,7 +172,7 @@ void scan_calendar_calls(const TokenVec& t, std::size_t begin, std::size_t end,
 /// shards run concurrently: neither its own statements nor anything they
 /// call may touch a calendar directly. Cross-shard traffic goes through
 /// the engine's mailbox API (outbox CrossMsg / CrossArrivalNote), which
-/// the barrier replays in serial order; even a keyed insert races the
+/// the barrier delivers; even an insert under a pre-drawn key races the
 /// owning worker's drain.
 void rule_shard(const Index& idx, const CallGraph& graph,
                 std::vector<Finding>& out) {

@@ -15,8 +15,9 @@
 ///                         | `// dqos-lint: hot` (depth 0 of the walk)
 ///   hot-path-transitive   | the same constructs in any function
 ///                         | *reachable* from a hot root (depth >= 1)
-///   cross-shard-access    | direct calendar calls (schedule_at / keyed
-///                         | / run_until) in the statements of a
+///   cross-shard-access    | direct calendar calls (schedule_at /
+///                         | schedule_after / cancel / drain_due /
+///                         | run_until) in the statements of a
 ///                         | `// dqos-lint: shard` region itself
 ///   shard-ownership       | the same calls in any function reachable
 ///                         | from the calls made inside such a region —
