@@ -29,10 +29,7 @@ void analyze(SwitchArch arch, const SimConfig& base) {
   cfg.arch = arch;
   NetworkSimulator net(cfg);
   PacketTracer tracer(1u << 22);
-  for (std::uint32_t h = 0; h < net.num_hosts(); ++h) net.host(h).set_tracer(&tracer);
-  for (std::uint32_t s = 0; s < net.num_switches(); ++s) {
-    net.fabric_switch(s).set_tracer(&tracer);
-  }
+  net.attach_tracer(tracer);
   (void)net.run();
 
   // Stage decomposition over every traced packet.

@@ -96,6 +96,15 @@ if [[ " ${presets[*]} " == *" tsan "* ]]; then
   build-tsan/tools/dqos_sim --config=configs/mesh16.cfg --shards=4 \
       --shard-threads=1 --measure-ms=2 > /dev/null
   echo "tsan shard smoke OK"
+
+  # The same engine under the three-phase churn scenario: phase and churn
+  # events are serial instants, so the flush of every shard's pending mail
+  # before each instant (and its hand-back to the workers) runs under real
+  # concurrency here.
+  echo "=== [tsan] sharded churn-scenario smoke (4 shards, worker threads) ==="
+  build-tsan/tools/dqos_sim --scenario=configs/mesh16_churn.cfg --shards=4 \
+      --shard-threads=1 > /dev/null
+  echo "tsan shard churn smoke OK"
 fi
 
 if [[ " ${presets[*]} " == *" asan "* ]]; then

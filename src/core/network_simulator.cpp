@@ -4,6 +4,7 @@
 #include <cmath>
 #include <thread>
 
+#include "core/config_io.hpp"
 #include "core/run_controller.hpp"
 #include "topo/kary_ntree.hpp"
 #include "topo/mesh2d.hpp"
@@ -135,14 +136,21 @@ PacketPool& NetworkSimulator::pool_for(NodeId n) {
 }
 
 void NetworkSimulator::on_shard_barrier() {
-  for (std::uint32_t s = 0; s < engine_->num_shards(); ++s) {
-    std::vector<CrossArrivalNote>& notes = engine_->arrival_notes(s);
-    for (const CrossArrivalNote& note : notes) {
-      static_cast<Channel*>(note.ch)->apply_cross_arrival(note.vc, note.bytes);
-    }
-    notes.clear();
-  }
   for (const auto& p : shard_pools_) p->drain_free_lanes();
+}
+
+void NetworkSimulator::attach_tracer(PacketTracer& tracer) {
+  if (engine_) {
+    // The tracer is one unsynchronized buffer fed in event order; shard
+    // workers would race on it, and inline shards emit out of time order.
+    std::string why = "--trace needs a serial run: this config resolves to ";
+    why += std::to_string(engine_->num_shards());
+    why += " shards; rerun with --shards=1";
+    throw ConfigError(why);
+  }
+  for (const auto& h : hosts_) h->set_tracer(&tracer);
+  for (const auto& sw : switches_) sw->set_tracer(&tracer);
+  injector_->set_tracer(&tracer);
 }
 
 void NetworkSimulator::run_calendar_until(TimePoint t) {

@@ -192,6 +192,10 @@ class NetworkSimulator {
   [[nodiscard]] Simulator& sim() { return sim_; }
   /// Null unless the run is sharded (cfg.shards > 1 after clamping).
   [[nodiscard]] ShardExecutor* shard_engine() { return engine_.get(); }
+  /// Wires `tracer` into every host, switch and the fault injector; it
+  /// must outlive the run. Throws ConfigError (naming --shards=1) when the
+  /// run is sharded: the tracer is not shard-safe.
+  void attach_tracer(PacketTracer& tracer);
   [[nodiscard]] const Topology& topology() const { return *topo_; }
   [[nodiscard]] AdmissionController& admission() { return *admission_; }
   [[nodiscard]] MetricsCollector& metrics() { return *metrics_; }
@@ -245,8 +249,7 @@ class NetworkSimulator {
   /// the primary).
   [[nodiscard]] MetricsCollector* metrics_for(NodeId n);
   [[nodiscard]] PacketPool& pool_for(NodeId n);
-  /// Barrier reconciliation: applies parked cross-shard arrival notes to
-  /// sender-owned wire accounting and folds foreign pool frees back.
+  /// Barrier hook: folds cross-shard pool frees back to their pools.
   void on_shard_barrier();
   /// The serial tail of a flow abort (ledger release, host retirement);
   /// runs immediately in serial mode, at the barrier replay when the abort

@@ -69,8 +69,9 @@ ShardExecutor::ShardExecutor(Simulator& control, std::uint32_t num_shards,
   for (std::uint32_t s = 0; s < num_shards; ++s) {
     logs_[s].sim = sims_[s].get();
     logs_[s].outboxes.resize(num_shards);
+    logs_[s].sent.resize(num_shards);
   }
-  notes_.resize(num_shards);
+  mail_in_.assign(num_shards, 0);
   cursor_.assign(num_shards, 0);
   if (use_threads) {
     workers_.reserve(num_shards - 1);
@@ -114,6 +115,12 @@ std::uint64_t ShardExecutor::events_processed() const {
   return n;
 }
 
+std::uint64_t ShardExecutor::cross_messages() const {
+  std::uint64_t n = 0;
+  for (const std::uint64_t m : mail_in_) n += m;
+  return n;
+}
+
 std::size_t ShardExecutor::events_pending() const {
   std::size_t n = control_.events_pending();
   for (const std::unique_ptr<Simulator>& sim : sims_) {
@@ -122,10 +129,29 @@ std::size_t ShardExecutor::events_pending() const {
   return n;
 }
 
+void ShardExecutor::deliver_inbox(std::uint32_t s) {
+  std::uint64_t n = 0;
+  for (ShardWindowLog& src : logs_) {
+    std::vector<CrossMsg>& box = src.sent[s];
+    for (CrossMsg& m : box) {
+      n += m.at_ps != CrossMsg::kNoLanding;
+      m.deliver(std::move(m));
+    }
+    box.clear();
+  }
+  mail_in_[s] += n;
+}
+
+void ShardExecutor::flush_mail() {
+  for (std::uint32_t s = 0; s < num_shards(); ++s) deliver_inbox(s);
+  for (ShardWindowLog& log : logs_) log.sent_min_ps = CrossMsg::kNoLanding;
+}
+
 void ShardExecutor::drain_shard(std::uint32_t s) {
   const TimePoint limit = TimePoint::from_ps(window_limit_ps_);
   Simulator& sim = *sims_[s];
   PacketPool::set_current_shard(static_cast<std::int32_t>(s));
+  deliver_inbox(s);
   while (sim.drain_due(limit)) {
   }
   PacketPool::set_current_shard(-1);
@@ -170,11 +196,10 @@ void ShardExecutor::run_window(std::int64_t limit_ps) {
       sim->set_fire_hook(hook_);
     }
   }
-  merge_and_transfer();
+  barrier_merge();
 }
 
-void ShardExecutor::merge_and_transfer() {
-  const std::uint32_t n = num_shards();
+void ShardExecutor::barrier_merge() {
   if (hook_) {
     merge_logs(logs_, &ShardWindowLog::hooked, cursor_,
                [this](const HookRecord& r) {
@@ -183,19 +208,14 @@ void ShardExecutor::merge_and_transfer() {
   }
   merge_logs(logs_, &ShardWindowLog::effects, cursor_,
              [this](const DeferredEffect& e) { effect_sink_(e); });
-  // Deliver mailboxes in deterministic (source, destination, index) order.
-  // The lookahead guarantee: nothing lands at or before the window edge.
-  for (std::uint32_t src = 0; src < n; ++src) {
-    for (std::uint32_t dst = 0; dst < n; ++dst) {
-      for (CrossMsg& m : logs_[src].outboxes[dst]) {
-        DQOS_ASSERT(m.at_ps > window_limit_ps_);
-        ++cross_msgs_;
-        m.deliver(std::move(m));
-      }
-    }
-  }
   if (barrier_hook_) barrier_hook_();
-  for (ShardWindowLog& log : logs_) log.reset();
+  // Every shard delivered last window's mail at the start of this one, so
+  // the `sent` generation is empty and this window's outboxes take its
+  // place. The lookahead guarantee: nothing lands at or before the edge.
+  for (ShardWindowLog& log : logs_) {
+    DQOS_ASSERT(log.out_min_ps > window_limit_ps_);
+    log.close_window();
+  }
 }
 
 void ShardExecutor::run_instant(std::int64_t t_ps) {
@@ -242,9 +262,13 @@ void ShardExecutor::run_until(TimePoint t) {
     for (const std::unique_ptr<Simulator>& sim : sims_) {
       t_min = std::min(t_min, peek_time(*sim));
     }
+    for (const ShardWindowLog& log : logs_) {
+      t_min = std::min(t_min, log.sent_min_ps);
+    }
     const std::int64_t next = std::min(t_ctrl, t_min);
     if (next > target_ps) break;
     if (t_ctrl <= t_min) {
+      flush_mail();
       run_instant(t_ctrl);
       continue;
     }
@@ -257,6 +281,7 @@ void ShardExecutor::run_until(TimePoint t) {
     DQOS_ASSERT(horizon > t_min);
     run_window(horizon - 1);
   }
+  flush_mail();
   if (control_.now() < t) control_.advance_to(t);
   for (const std::unique_ptr<Simulator>& sim : sims_) {
     if (sim->now() < t) sim->advance_to(t);

@@ -9,11 +9,12 @@
 ///  - **Windows** (parallel): when every calendar's next event is a data
 ///    event, the engine computes the conservative safe horizon
 ///    H = min(T_min + L, T_ctrl, T_end+1) — T_min the global minimum
-///    next-event time, L the minimum cross-shard link latency (the
-///    lookahead), T_ctrl the control calendar's next event — and every
-///    shard drains its own calendar up to H-1 concurrently. Cross-shard
-///    interactions ride mailboxes and, by the lookahead bound, land at or
-///    after H: no shard can affect another inside a window.
+///    next-event time (calendar heads and mail not yet delivered), L the
+///    minimum cross-shard link latency (the lookahead), T_ctrl the control
+///    calendar's next event — and every shard drains its own calendar up
+///    to H-1 concurrently. Cross-shard interactions ride mailboxes and,
+///    by the lookahead bound, land at or after H: no shard can affect
+///    another inside a window.
 ///
 ///  - **Serial instants**: when the control calendar is due (T_ctrl <=
 ///    T_min), the engine executes *every* calendar's events at exactly
@@ -27,10 +28,18 @@
 /// the ordinary Simulator::drain_due. At each window barrier the
 /// coordinator merges the shards' hook records (only while a fire hook is
 /// installed) and deferred side effects by their (time, merge key) tags,
-/// delivers mailbox messages (already keyed by their senders), and invokes
-/// a reconciliation hook for sender-owned accounting. The result of a run
-/// is byte-identical to the serial engine's at any shard count
-/// (DESIGN.md §12).
+/// runs a hook for cross-shard pool frees, and hands each shard's outboxes
+/// over as the `sent` generation. The result of a run is byte-identical to
+/// the serial engine's at any shard count (DESIGN.md §12).
+///
+/// Mail is delivered where it lands, not at the barrier: each shard starts
+/// its next drain by delivering its inbox (deliver_inbox: the mail every
+/// source sent it, source by source in index order, so each calendar sees
+/// the same insertion sequence at any thread count). Undelivered mail
+/// still bounds the horizon — T_min is the minimum over the calendar heads
+/// *and* the earliest pending landing time — and flush_mail delivers every
+/// inbox before a serial instant and before run_until returns, so instants
+/// and callers never see mail in transit.
 ///
 /// Threading: shard 0 is drained by the coordinating (calling) thread;
 /// shards 1..N-1 each get a persistent worker synchronized by an
@@ -69,9 +78,6 @@ class ShardExecutor {
   [[nodiscard]] Simulator& shard_sim(std::uint32_t s) { return *sims_[s]; }
   [[nodiscard]] Simulator& control() { return control_; }
   [[nodiscard]] ShardWindowLog& log(std::uint32_t s) { return logs_[s]; }
-  [[nodiscard]] std::vector<CrossArrivalNote>& arrival_notes(std::uint32_t s) {
-    return notes_[s];
-  }
 
   /// True while a parallel window is in flight. Cross-shard components
   /// (Channel, metrics relays) branch on this to pick the mailbox/deferral
@@ -93,9 +99,8 @@ class ShardExecutor {
   void set_effect_sink(Callback<void(const DeferredEffect&)> sink) {
     effect_sink_ = sink;
   }
-  /// Runs after every barrier's effects + mailbox delivery, while all
-  /// workers are parked: the network layer reconciles sender-owned wire
-  /// accounting and drains cross-shard pool-free lanes here.
+  /// Runs after every barrier's effect merge, while all workers are
+  /// parked: the network layer drains cross-shard pool-free lanes here.
   void set_barrier_hook(Callback<void()> hook) { barrier_hook_ = hook; }
 
   /// Runs all calendars (control + shards) up to and including `t`, then
@@ -109,7 +114,8 @@ class ShardExecutor {
   [[nodiscard]] std::size_t events_pending() const;
   [[nodiscard]] std::uint64_t windows_run() const { return windows_; }
   [[nodiscard]] std::uint64_t instants_run() const { return instants_; }
-  [[nodiscard]] std::uint64_t cross_messages() const { return cross_msgs_; }
+  /// Cross-shard messages delivered (notes excluded), over all shards.
+  [[nodiscard]] std::uint64_t cross_messages() const;
   [[nodiscard]] std::int64_t lookahead_ps() const { return lookahead_ps_; }
   [[nodiscard]] bool threaded() const { return !workers_.empty(); }
 
@@ -117,14 +123,21 @@ class ShardExecutor {
   static std::int64_t peek_time(Simulator& sim);
   void run_window(std::int64_t limit_ps);
   void run_instant(std::int64_t t_ps);
-  void merge_and_transfer();
+  void barrier_merge();
+  /// Delivers the mail every shard sent to shard `s` last window onto its
+  /// calendar — on `s`'s own thread inside drain_shard, or on the
+  /// coordinator's in flush_mail.
+  void deliver_inbox(std::uint32_t s);
+  void flush_mail();
   void drain_shard(std::uint32_t s);
   void worker_main(std::uint32_t s);
 
   Simulator& control_;
   std::vector<std::unique_ptr<Simulator>> sims_;
   std::vector<ShardWindowLog> logs_;
-  std::vector<std::vector<CrossArrivalNote>> notes_;
+  /// Cross-shard messages delivered, per destination shard (each entry
+  /// written only by its shard's drain or by the coordinator's flush).
+  std::vector<std::uint64_t> mail_in_;
   std::vector<std::uint32_t> cursor_;  ///< merge cursors (scratch)
   std::int64_t lookahead_ps_;
 
@@ -136,14 +149,14 @@ class ShardExecutor {
   std::uint64_t window_id_ = 0;
   std::uint64_t windows_ = 0;
   std::uint64_t instants_ = 0;
-  std::uint64_t cross_msgs_ = 0;
   std::int64_t window_limit_ps_ = 0;
 
   // Epoch/arrival barrier. The coordinator publishes window parameters,
   // then bumps epoch_ (release); workers spin on epoch_ (acquire), drain,
   // and bump arrived_ (release); the coordinator spins on arrived_
-  // (acquire). Each handoff is a full happens-before edge, so the logs and
-  // calendars need no further synchronization.
+  // (acquire). Each handoff is a full happens-before edge, so the logs,
+  // the `sent` mail generations and the calendars need no further
+  // synchronization.
   std::vector<std::thread> workers_;
   std::atomic<std::uint64_t> epoch_{0};
   std::atomic<std::uint32_t> arrived_{0};

@@ -113,7 +113,7 @@ void Channel::send(PacketPtr p) {
     // dqos-lint: shard
     // Window mode: the arrival crosses a shard boundary — post it to the
     // mailbox under the key the serial schedule call would have drawn from
-    // the sender's lane; the barrier schedules it on the receiver.
+    // the sender's lane; the receiver's shard schedules it on delivery.
     CrossMsg m;
     m.at_ps = at.ps();
     m.key = send_lane_->take();
@@ -121,7 +121,7 @@ void Channel::send(PacketPtr p) {
     m.ctx = this;
     m.p = std::move(p);
     m.deliver = &Channel::deliver_arrival_msg;
-    engine_->log(src_shard_).outboxes[dst_shard_].push_back(std::move(m));
+    engine_->log(src_shard_).post(dst_shard_, std::move(m));
     return;
   }
   // Serial stretch (setup or an instant): schedule directly on the
@@ -159,12 +159,16 @@ void Channel::CrossArrivalTask::operator()() {
   if (*ch->win_) {
     // dqos-lint: shard
     // Running on the receiver's worker thread: the in-flight counters are
-    // sender-owned, so park the decrement for the barrier.
-    ch->engine_->arrival_notes(ch->dst_shard_)
-        .push_back(CrossArrivalNote{ch, vc, size});
+    // sender-owned, so mail the decrement to the sender's shard as a note.
+    CrossMsg note;
+    note.at_ps = CrossMsg::kNoLanding;
+    note.bytes = size;
+    note.vc = vc;
+    note.ctx = ch;
+    note.deliver = &Channel::deliver_arrival_note;
+    ch->engine_->log(ch->dst_shard_).post(ch->src_shard_, std::move(note));
   } else {
-    ch->in_flight_bytes_[vc] -= static_cast<std::int64_t>(size);
-    --ch->packets_in_flight_;
+    ch->apply_cross_arrival(vc, size);
   }
   ch->dst_->receive_packet(std::move(p), ch->dst_port_);
 }
@@ -183,11 +187,15 @@ void Channel::deliver_arrival_msg(CrossMsg&& m) {
                             CrossArrivalTask{ch, std::move(m.p), vc});
 }
 
+void Channel::deliver_arrival_note(CrossMsg&& m) {
+  static_cast<Channel*>(m.ctx)->apply_cross_arrival(m.vc, m.bytes);
+}
+
 void Channel::deliver_credit_msg(CrossMsg&& m) {
   auto* ch = static_cast<Channel*>(m.ctx);
   // The serial model debits credits_in_flight_ at return time; deferring
-  // the debit to the barrier is invisible because the counter is only read
-  // at serial instants (resync, audits), which all happen-after this.
+  // the debit to delivery is invisible because the counter is only read at
+  // serial instants (resync, audits), which all happen-after this.
   ch->credits_in_flight_[m.vc] += static_cast<std::int64_t>(m.bytes);
   ch->sim_.schedule_at(TimePoint::from_ps(m.at_ps), m.key,
                        CrossFlushTask{ch, m.vc, m.bytes});
@@ -208,7 +216,6 @@ void Channel::cross_return_credits(VcId vc, std::uint32_t bytes) {
     return;
   }
   cross_fold_window_[vc] = engine_->window_id();
-  cross_fold_idx_[vc] = static_cast<std::uint32_t>(box.size());
   CrossMsg m;
   m.at_ps = deliver_ps;
   m.key = recv_lane_->take();
@@ -216,8 +223,7 @@ void Channel::cross_return_credits(VcId vc, std::uint32_t bytes) {
   m.vc = vc;
   m.ctx = this;
   m.deliver = &Channel::deliver_credit_msg;
-  // dqos-lint: allow(hot-path-transitive) — outbox growth is amortized
-  box.push_back(std::move(m));
+  cross_fold_idx_[vc] = engine_->log(dst_shard_).post(src_shard_, std::move(m));
 }
 
 Simulator& Channel::timer_sim() {

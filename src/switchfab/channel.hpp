@@ -187,23 +187,18 @@ class Channel {
   /// on shard `src_shard` (which owns `sim_`), the receive side on
   /// `dst_shard` (which owns `dst_sim`). During parallel windows, packet
   /// arrivals and credit returns travel through the engine's mailboxes and
-  /// sender-owned wire accounting is reconciled at barriers; outside
-  /// windows (serial instants, setup, teardown) the channel behaves
-  /// exactly serially except that arrivals land on the receiver's
-  /// calendar. A channel never marked stays byte-for-byte on the serial
-  /// code path.
+  /// sender-owned wire accounting rides back to the sender's shard as
+  /// mailbox notes; outside windows (serial instants, setup, teardown) the
+  /// channel behaves exactly serially except that arrivals land on the
+  /// receiver's calendar. A channel never marked stays byte-for-byte on
+  /// the serial code path.
   void set_cross_shard(ShardExecutor* engine, std::uint32_t src_shard,
                        std::uint32_t dst_shard, Simulator* dst_sim);
   [[nodiscard]] bool cross_shard() const { return engine_ != nullptr; }
 
-  /// Barrier reconciliation: applies one deferred arrival's sender-side
-  /// accounting (in-flight bytes/packets), recorded by CrossArrivalTask
-  /// while the receiver shard was running concurrently.
-  void apply_cross_arrival(VcId vc, std::uint32_t bytes);
-
   /// Cross-shard counterpart of ArrivalTask: fires on the *receiver's*
-  /// calendar; sender-owned accounting is deferred to the barrier when a
-  /// window is active, applied directly otherwise.
+  /// calendar; sender-owned accounting is mailed to the sender's shard
+  /// when a window is active, applied directly otherwise.
   struct CrossArrivalTask {
     Channel* ch;
     PacketPtr p;
@@ -221,10 +216,15 @@ class Channel {
   };
 
  private:
-  /// Mailbox delivery thunks (coordinator, at the barrier): schedule the
-  /// message body under the key its poster drew.
+  /// Mailbox delivery thunks (run on the destination shard): schedule the
+  /// message body under the key its poster drew, or apply an arrival note.
   static void deliver_arrival_msg(CrossMsg&& m);
   static void deliver_credit_msg(CrossMsg&& m);
+  static void deliver_arrival_note(CrossMsg&& m);
+  /// Sender-side accounting of one cross-shard arrival (in-flight
+  /// bytes/packets): applied directly outside windows, mailed to the
+  /// sender's shard as a note inside one.
+  void apply_cross_arrival(VcId vc, std::uint32_t bytes);
   /// Window-mode credit return: replicates the serial coalescing decision
   /// on the receiver side (fold into the newest same-instant batch posted
   /// this window, else post a new mailbox message + one flush event).

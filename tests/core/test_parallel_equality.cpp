@@ -92,6 +92,10 @@ struct RunResult {
   std::uint64_t hash = 0;
   std::string csv;
   SimReport rep;
+  /// Engine work counts (zero for a serial run).
+  std::uint64_t windows = 0;
+  std::uint64_t instants = 0;
+  std::uint64_t cross_msgs = 0;
 };
 
 RunResult run_config(const SimConfig& cfg,
@@ -104,6 +108,11 @@ RunResult run_config(const SimConfig& cfg,
   r.rep = net.run();
   r.hash = h.value();
   r.csv = csv_bytes(r.rep);
+  if (const ShardExecutor* engine = net.shard_engine()) {
+    r.windows = engine->windows_run();
+    r.instants = engine->instants_run();
+    r.cross_msgs = engine->cross_messages();
+  }
   return r;
 }
 
@@ -334,11 +343,21 @@ TEST(ParallelEquality, HierAdmissionChurnScenarioMatchesSerial) {
 
 TEST(ParallelEquality, ThreadedWindowsMatchInline) {
   // Force worker threads even on a single-core box: the threaded drain must
-  // produce the same stream as the inline drain (and as serial).
+  // produce the same stream as the inline drain (and as serial), and run
+  // the same windows, instants and cross-shard messages — mail delivered
+  // on the destination's worker changes no horizon.
   SimConfig cfg = mesh16_config(3);
   cfg.shard_threads = 1;
   const RunResult threaded = run_config(cfg);
+  cfg.shard_threads = 0;
+  const RunResult inline_run = run_config(cfg);
   EXPECT_EQ(threaded.hash, kGoldenMesh16FireOrderHash);
+  EXPECT_EQ(inline_run.hash, kGoldenMesh16FireOrderHash);
+  EXPECT_GT(threaded.windows, 0u);
+  EXPECT_GT(threaded.cross_msgs, 0u);
+  EXPECT_EQ(threaded.windows, inline_run.windows);
+  EXPECT_EQ(threaded.instants, inline_run.instants);
+  EXPECT_EQ(threaded.cross_msgs, inline_run.cross_msgs);
 }
 
 TEST(ParallelEquality, ShardLocalKeysNeverRepeat) {

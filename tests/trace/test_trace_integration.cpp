@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
+#include "core/config_io.hpp"
 #include "core/network_simulator.hpp"
 #include "trace/tracer.hpp"
 
@@ -24,10 +26,7 @@ TEST(TraceIntegration, FullRunProducesCompleteHistories) {
   cfg.drain = 1_ms;
   NetworkSimulator net(cfg);
   PacketTracer tracer(1u << 22);
-  for (std::uint32_t h = 0; h < net.num_hosts(); ++h) net.host(h).set_tracer(&tracer);
-  for (std::uint32_t s = 0; s < net.num_switches(); ++s) {
-    net.fabric_switch(s).set_tracer(&tracer);
-  }
+  net.attach_tracer(tracer);
   const SimReport rep = net.run();
   ASSERT_GT(rep.packets_delivered, 100u);
   ASSERT_EQ(tracer.overflow(), 0u);
@@ -84,10 +83,7 @@ TEST(TraceIntegration, TtdSlackShrinksTowardDelivery) {
   cfg.enable_background = false;
   NetworkSimulator net(cfg);
   PacketTracer tracer(1u << 20);
-  for (std::uint32_t h = 0; h < net.num_hosts(); ++h) net.host(h).set_tracer(&tracer);
-  for (std::uint32_t s = 0; s < net.num_switches(); ++s) {
-    net.fabric_switch(s).set_tracer(&tracer);
-  }
+  net.attach_tracer(tracer);
   (void)net.run();
   std::map<std::uint64_t, Duration> last_ttd;
   int checked = 0;
@@ -103,6 +99,26 @@ TEST(TraceIntegration, TtdSlackShrinksTowardDelivery) {
     last_ttd[r.packet_id] = r.ttd;
   }
   EXPECT_GT(checked, 50);
+}
+
+TEST(TraceIntegration, AttachToShardedRunThrowsNamingSerialFlag) {
+  // One unsynchronized buffer fed in event order cannot follow concurrent
+  // shard drains: a sharded net refuses the tracer and says how to rerun.
+  SimConfig cfg;
+  cfg.topology = TopologyKind::kMesh2D;
+  cfg.mesh_width = 4;
+  cfg.mesh_height = 4;
+  cfg.shards = 2;
+  NetworkSimulator net(cfg);
+  ASSERT_NE(net.shard_engine(), nullptr);
+  PacketTracer tracer(16);
+  try {
+    net.attach_tracer(tracer);
+    FAIL() << "attach_tracer accepted a sharded run";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("--shards=1"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

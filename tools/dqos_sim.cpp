@@ -88,25 +88,15 @@ int main(int argc, char** argv) {
   NetworkSimulator net(cfg);
   ShardExecutor* const engine = net.shard_engine();
   std::unique_ptr<PacketTracer> tracer;
-  if (args.has("trace") && engine != nullptr) {
-    // The tracer is one unsynchronized buffer fed in event order; shard
-    // workers would race on it, and inline shards emit out of time order.
-    std::fprintf(stderr,
-                 "dqos_sim: --trace needs a serial run: this config resolves "
-                 "to %u shards; rerun with --shards=1\n",
-                 engine->num_shards());
-    return 2;
-  }
   if (args.has("trace")) {
     tracer = std::make_unique<PacketTracer>(
         static_cast<std::size_t>(args.get_int("trace-cap", 1 << 20)));
-    for (std::uint32_t h = 0; h < net.num_hosts(); ++h) {
-      net.host(h).set_tracer(tracer.get());
+    try {
+      net.attach_tracer(*tracer);
+    } catch (const ConfigError& e) {
+      std::fprintf(stderr, "dqos_sim: %s\n", e.what());
+      return 2;
     }
-    for (std::uint32_t s = 0; s < net.num_switches(); ++s) {
-      net.fabric_switch(s).set_tracer(tracer.get());
-    }
-    net.fault_injector().set_tracer(tracer.get());
   }
   ScenarioReport srep;
   try {

@@ -171,9 +171,9 @@ void scan_calendar_calls(const TokenVec& t, std::size_t begin, std::size_t end,
 /// A `// dqos-lint: shard` region runs on a shard worker while other
 /// shards run concurrently: neither its own statements nor anything they
 /// call may touch a calendar directly. Cross-shard traffic goes through
-/// the engine's mailbox API (outbox CrossMsg / CrossArrivalNote), which
-/// the barrier delivers; even an insert under a pre-drawn key races the
-/// owning worker's drain.
+/// the engine's mailbox API (ShardWindowLog::post of a CrossMsg or note),
+/// which the destination shard delivers on its own thread; even an insert
+/// under a pre-drawn key races the owning worker's drain.
 void rule_shard(const Index& idx, const CallGraph& graph,
                 std::vector<Finding>& out) {
   for (const ShardRegion& region : idx.shard_regions) {
@@ -186,7 +186,7 @@ void rule_shard(const Index& idx, const CallGraph& graph,
           "'" + tok.text + "()' inside a `dqos-lint: shard` region — worker "
                            "code must not touch a calendar directly; post a "
                            "CrossMsg/note through the mailbox API and let the "
-                           "barrier deliver it",
+                           "destination shard deliver it",
           u.lx.allowed("cross-shard-access", tok.line)});
     });
 
